@@ -77,7 +77,7 @@ func newLazyCtrl(s *System, t *kernel.Task, img *mtcp.Image, lz *mtcp.LazyState,
 		lc.byHash[pc.Ref.Hash] = append(lc.byHash[pc.Ref.Hash], key)
 		lc.remaining++
 	}
-	lc.ps = replica.NewPullStream(t, s.Replica, holders, refs, lc.onDeliver)
+	lc.ps = replica.NewPullStream(t, s.Replica, holders, 1, refs, lc.onDeliver)
 	t.P.SpawnTask("lazy-install", true, lc.installer)
 	// The pull stream wakes its own waiters on failure; relay that to
 	// ours so the installer, drain, and blocked faulters all observe a

@@ -1,6 +1,7 @@
 package dmtcp
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"time"
@@ -88,7 +89,9 @@ func (f *holderFetcher) ensureManifest(t *kernel.Task) error {
 	return &replica.HolderLostError{Hosts: append([]string(nil), f.tried...), Err: lastErr}
 }
 
-// Fetch implements mtcp.ChunkFetcher.
+// Fetch implements mtcp.ChunkFetcher: one single-holder pull stream
+// (f.workers connections) per candidate, each resuming with only the
+// chunks its predecessors left missing.
 func (f *holderFetcher) Fetch(t *kernel.Task, refs []store.ChunkRef, deliver func(store.ChunkRef)) (int64, int, error) {
 	local := store.Open(t.P.Node, store.Config{Root: f.sys.StoreRoot()})
 	remaining := refs
@@ -101,13 +104,14 @@ func (f *holderFetcher) Fetch(t *kernel.Task, refs []store.ChunkRef, deliver fun
 			break
 		}
 		h := cands[0]
-		b, c, err := f.sys.Replica.FetchChunks(t, h, remaining, f.workers, deliver)
-		total += b
-		count += c
+		ps := replica.NewPullStream(t, f.sys.Replica, []string{h}, f.workers, remaining, deliver)
+		err := ps.Wait(t)
+		total += ps.Bytes()
+		count += ps.Chunks()
 		if err == nil {
 			return total, count, nil
 		}
-		lastErr = err
+		lastErr = errors.Unwrap(err) // the cause, not the one-holder loss
 		f.tried = append(f.tried, h)
 		remaining = local.MissingChunks(remaining)
 		if len(remaining) == 0 {
@@ -115,6 +119,19 @@ func (f *holderFetcher) Fetch(t *kernel.Task, refs []store.ChunkRef, deliver fun
 		}
 	}
 	return total, count, &replica.HolderLostError{Hosts: append([]string(nil), f.tried...), Err: lastErr}
+}
+
+// fetchAll makes the whole manifest generation local before any
+// install starts: the serial restore's fetch-then-install pre-fetch.
+func (f *holderFetcher) fetchAll(t *kernel.Task) (int64, int, error) {
+	if err := f.ensureManifest(t); err != nil {
+		return 0, 0, err
+	}
+	m, err := store.Open(t.P.Node, store.Config{Root: f.sys.StoreRoot()}).LoadManifest(f.path)
+	if err != nil {
+		return 0, 0, err
+	}
+	return f.Fetch(t, m.Refs(), nil)
 }
 
 // restartMain is the dmtcp_restart program (§4.4): a single restart
@@ -191,12 +208,14 @@ func (s *System) restartMain(t *kernel.Task, args []string) {
 				if !store.IsManifestPath(path) {
 					continue
 				}
-				fs, err := s.Replica.EnsureLocalN(t, path, from, s.Cfg.CkptWorkers)
+				hf := &holderFetcher{sys: s, path: path, primary: from,
+					workers: s.Cfg.CkptWorkers, target: t.P.Node}
+				bytes, chunks, err := hf.fetchAll(t)
 				if err != nil {
 					fail("fetch %s: %v", path, err)
 				}
-				st.FetchedBytes += fs.Bytes
-				st.FetchedChunks += fs.Chunks
+				st.FetchedBytes += bytes
+				st.FetchedChunks += chunks
 			}
 			st.Fetch = t.Now().Sub(fStart)
 		}

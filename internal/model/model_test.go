@@ -99,3 +99,23 @@ func TestTransferTime(t *testing.T) {
 		t.Fatalf("transfer = %v, want ≈1s", d)
 	}
 }
+
+func TestQoSIdle(t *testing.T) {
+	p := Default()
+	work := 40 * time.Millisecond
+	for _, tc := range []struct {
+		q    float64
+		want time.Duration
+	}{
+		{-0.5, 0},
+		{0, 0},
+		{1, 0},
+		{1.5, 0},
+		{0.5, work},
+		{0.25, 3 * work},
+	} {
+		if got := p.QoSIdle(work, tc.q); got != tc.want {
+			t.Errorf("QoSIdle(%v, %v) = %v, want %v", work, tc.q, got, tc.want)
+		}
+	}
+}

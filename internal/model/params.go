@@ -382,6 +382,17 @@ func (p *Params) HashTime(n int64) time.Duration {
 	return time.Duration(float64(n) / p.HashBW * float64(time.Second))
 }
 
+// QoSIdle is the pause that holds a background activity (repair
+// pushes, scrubbing) to fraction q of a resource: after spending work
+// on it, the activity idles work×(1−q)/q.  q outside (0, 1) means no
+// pacing.
+func (p *Params) QoSIdle(work time.Duration, q float64) time.Duration {
+	if q <= 0 || q >= 1 {
+		return 0
+	}
+	return time.Duration(float64(work) * (1 - q) / q)
+}
+
 // Jitter perturbs d by ±JitterPct using the provided deterministic
 // source.
 func (p *Params) Jitter(rng *rand.Rand, d time.Duration) time.Duration {

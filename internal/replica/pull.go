@@ -2,6 +2,7 @@ package replica
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bin"
 	"repro/internal/kernel"
@@ -10,24 +11,25 @@ import (
 	"repro/internal/store"
 )
 
-// PullStream is the lazy-restore fetch plane: a priority pull of a
-// chunk set striped across every live holder.  One puller task per
-// holder drains a shared hottest-first queue over its own connection,
-// so aggregate fetch bandwidth scales with the holder count (each
-// holder's daemon serializes its sends at the NIC rate).  Demand
-// faults preempt the queue: Demand promotes a chunk to the front and
-// blocks the caller until it is locally durable.  A holder that dies
-// mid-fetch has its in-flight chunk requeued at the front and the
-// survivors keep draining — only when every holder is gone does the
+// PullStream is the one chunk puller: every restore fetch — streamed,
+// serial and lazy — pulls a chunk set into the calling node's store
+// through it.  It opens conns connections to each live holder, and
+// every connection drains one shared hottest-first queue, so aggregate
+// fetch bandwidth scales with the holder count (each holder's daemon
+// serializes its sends at the NIC rate).  Demand faults preempt the
+// queue: Demand promotes a chunk to the front and blocks the caller
+// until it is locally durable.  A holder that fails mid-fetch has its
+// in-flight chunk requeued at the front and is dropped — its other
+// connections stop after their in-flight chunk — while the surviving
+// holders keep draining; only when every holder is gone does the
 // stream fail with a HolderLostError.
 type PullStream struct {
-	sv    *Service
 	local *store.Store
 	w     *sim.WaitQueue
 
-	holders []string // live holders, one puller each
 	pullers int      // live puller tasks
-	tried   []string // holders dropped after an error
+	tried   []string // holders dropped after an error, each once
+	lastErr error    // the error that dropped the latest holder
 
 	queue    []store.ChunkRef // pending, hottest-first; front is next
 	needed   map[string]bool  // hash → part of this stream
@@ -40,19 +42,19 @@ type PullStream struct {
 	deliver   func(store.ChunkRef)
 
 	bytes, demandBytes, prefetchBytes int64
-	chunks, demandChunks              int
+	chunks                            int
 }
 
 // NewPullStream starts pulling refs (already ordered hottest-first)
-// from holders into the calling node's store.  Chunks already local
-// are delivered immediately without touching the network.  deliver
-// (optional) runs as each chunk becomes locally durable, on whichever
-// task landed it.
-func NewPullStream(t *kernel.Task, sv *Service, holders []string, refs []store.ChunkRef, deliver func(store.ChunkRef)) *PullStream {
+// from holders into the calling node's store over conns connections
+// per holder (at least one, and never more than there are chunks to
+// pull).  Chunks already local are delivered immediately without
+// touching the network.  deliver (optional) runs as each chunk becomes
+// locally durable, on whichever task landed it.
+func NewPullStream(t *kernel.Task, sv *Service, holders []string, conns int, refs []store.ChunkRef, deliver func(store.ChunkRef)) *PullStream {
 	ps := &PullStream{
-		sv:       sv,
 		local:    store.Open(t.P.Node, store.Config{Root: sv.Cfg.Root}),
-		w:        sim.NewWaitQueue(t.P.Node.Cluster.Eng, "lazy.pull"),
+		w:        sim.NewWaitQueue(t.P.Node.Cluster.Eng, "repl.pull"),
 		needed:   make(map[string]bool, len(refs)),
 		done:     make(map[string]bool, len(refs)),
 		demanded: map[string]bool{},
@@ -76,53 +78,47 @@ func NewPullStream(t *kernel.Task, sv *Service, holders []string, refs []store.C
 	if ps.remaining == 0 {
 		return ps
 	}
+	conns = min(max(conns, 1), ps.remaining)
 	for _, h := range holders {
 		if n := t.P.Node.Cluster.LookupHost(h); n == nil || n.Down || h == t.P.Node.Hostname {
 			continue
 		}
-		ps.holders = append(ps.holders, h)
+		for i := 0; i < conns; i++ {
+			h, track := h, fmt.Sprintf("replicad pull %s.%d", h, i)
+			ps.pullers++
+			t.P.SpawnTask("repl-fetch", true, func(pt *kernel.Task) { ps.pull(pt, h, track, conns) })
+		}
 	}
-	if len(ps.holders) == 0 {
+	if ps.pullers == 0 {
 		ps.err = &HolderLostError{Hosts: append([]string(nil), holders...)}
-		return ps
-	}
-	for _, h := range ps.holders {
-		h := h
-		ps.pullers++
-		t.P.SpawnTask("lazy-pull", true, func(pt *kernel.Task) { ps.pull(pt, h) })
 	}
 	return ps
 }
 
-// pull is one holder's puller: a single connection draining the shared
-// queue until the stream finishes or the holder fails.
-func (ps *PullStream) pull(t *kernel.Task, holder string) {
+// pull is one connection to holder, draining the shared queue until
+// the stream finishes or the holder is dropped.
+func (ps *PullStream) pull(t *kernel.Task, holder, track string, conns int) {
 	start := t.Now()
 	var myBytes int64
 	myChunks := 0
 	defer func() {
 		ps.pullers--
 		if ps.pullers == 0 && ps.remaining > 0 && ps.err == nil && !ps.aborted {
-			ps.err = &HolderLostError{Hosts: append([]string(nil), ps.tried...)}
+			ps.err = &HolderLostError{Hosts: append([]string(nil), ps.tried...), Err: ps.lastErr}
 		}
-		t.Trace().Span(t.Host(), "lazy-pull "+holder, "lazy.pull", "repl", start, t.Now(),
-			obs.A("bytes", myBytes), obs.A("chunks", int64(myChunks)))
+		t.Trace().Span(t.Host(), track, "repl.fetch", "repl", start, t.Now(),
+			obs.A("bytes", myBytes), obs.A("chunks", int64(myChunks)), obs.A("conns", int64(conns)))
+		t.Trace().Add(t.Host(), "repl.bytes_fetched", t.Now(), myBytes)
 		ps.w.WakeAll()
 	}()
 
-	cfd := t.Socket()
-	if of, err := t.P.FD(cfd); err == nil {
-		of.Protected = true
-	}
-	defer t.Close(cfd)
-	if err := t.Connect(cfd, kernel.Addr{Host: holder, Port: Port}); err != nil {
-		ps.dropHolder(holder)
+	cfd, err := dial(t, holder)
+	if err != nil {
+		ps.dropHolder(holder, err)
 		return
 	}
-	for {
-		if ps.aborted || ps.err != nil || ps.remaining == 0 {
-			return
-		}
+	defer t.Close(cfd)
+	for !ps.aborted && ps.err == nil && ps.remaining > 0 && !slices.Contains(ps.tried, holder) {
 		if len(ps.queue) == 0 {
 			ps.w.Wait(t.T)
 			continue
@@ -133,7 +129,7 @@ func (ps *PullStream) pull(t *kernel.Task, holder string) {
 			// Requeue at the front (demand order preserved) and fall
 			// back to the surviving holders.
 			ps.queue = append([]store.ChunkRef{ref}, ps.queue...)
-			ps.dropHolder(holder)
+			ps.dropHolder(holder, err)
 			return
 		}
 		ps.done[ref.Hash] = true
@@ -144,7 +140,6 @@ func (ps *PullStream) pull(t *kernel.Task, holder string) {
 		myChunks++
 		if ps.demanded[ref.Hash] {
 			ps.demandBytes += ref.StoredBytes
-			ps.demandChunks++
 		} else {
 			ps.prefetchBytes += ref.StoredBytes
 		}
@@ -162,31 +157,22 @@ func (ps *PullStream) fetchOne(t *kernel.Task, cfd int, holder string, ref store
 	e.B = append(e.B, opGetChunk)
 	e.Str(ref.Hash)
 	e.Str(ref.Sum)
-	if err := t.SendFrame(cfd, e.B); err != nil {
-		return err
+	d, err := call(t, cfd, e.B)
+	if err == nil {
+		_, err = ps.local.PutReplicaChunk(t, ref, d.Bytes())
 	}
-	resp, err := t.RecvFrame(cfd)
 	if err != nil {
-		return err
-	}
-	if len(resp) == 0 || resp[0] != opAck {
-		return fmt.Errorf("replica: %s lacks chunk %s", holder, ref.Hash)
-	}
-	d := &bin.Decoder{B: resp[1:]}
-	if _, err := ps.local.PutReplicaChunk(t, ref, d.Bytes()); err != nil {
 		return fmt.Errorf("replica: pull %s from %s: %w", ref.Hash, holder, err)
 	}
 	return nil
 }
 
-// dropHolder removes a failed holder from the stripe set.
-func (ps *PullStream) dropHolder(h string) {
-	ps.tried = append(ps.tried, h)
-	for i, x := range ps.holders {
-		if x == h {
-			ps.holders = append(ps.holders[:i], ps.holders[i+1:]...)
-			break
-		}
+// dropHolder retires a failed holder; its other connections stop after
+// their in-flight chunk.
+func (ps *PullStream) dropHolder(h string, err error) {
+	ps.lastErr = err
+	if !slices.Contains(ps.tried, h) {
+		ps.tried = append(ps.tried, h)
 	}
 }
 
@@ -244,12 +230,6 @@ func (ps *PullStream) Abort() {
 	ps.w.WakeAll()
 }
 
-// Done reports whether every chunk is locally durable.
-func (ps *PullStream) Done() bool { return ps.remaining == 0 }
-
-// Holders returns the live stripe width.
-func (ps *PullStream) Holders() int { return len(ps.holders) }
-
 // Bytes returns total stored bytes fetched over the network.
 func (ps *PullStream) Bytes() int64 { return ps.bytes }
 
@@ -258,9 +238,6 @@ func (ps *PullStream) Chunks() int { return ps.chunks }
 
 // DemandBytes returns the fetched bytes a fault was waiting on.
 func (ps *PullStream) DemandBytes() int64 { return ps.demandBytes }
-
-// DemandChunks counts the chunks a fault was waiting on.
-func (ps *PullStream) DemandChunks() int { return ps.demandChunks }
 
 // PrefetchBytes returns the fetched bytes no fault waited on.
 func (ps *PullStream) PrefetchBytes() int64 { return ps.prefetchBytes }

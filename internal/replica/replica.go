@@ -13,11 +13,14 @@
 // 10%-dirty generation ships ~10% of its image regardless of the
 // replication factor's fan-out.
 //
+// Chunks move through exactly two engines: the push session
+// (stream.go), which carries queued, repair and eager traffic alike,
+// and the pull stream (pull.go), which serves every restore fetch.
+//
 // Protocol (length-prefixed frames over one TCP connection):
 //
-//	want     C→S  manifest's chunk hashes     → indices the peer lacks
-//	manifest C→S  one serialized manifest (push; sent before its chunks
-//	              so they are referenced — and GC-safe — on arrival)
+//	want     C→S  batch of chunk hashes       → indices the peer lacks
+//	manifest C→S  one serialized manifest (push)
 //	chunk    C→S  one chunk object (push)
 //	done     C→S  end of push                 → peer verifies the whole
 //	              generation and reports any chunk it still lacks
@@ -47,10 +50,6 @@ import (
 
 // Port is where every node's replica daemon listens.
 const Port = 7791
-
-// DefaultFanOut bounds the concurrent per-generation pushers when
-// Config.FanOut is zero.
-const DefaultFanOut = 4
 
 // Protocol message types (first byte of each frame).
 const (
@@ -89,11 +88,6 @@ type Config struct {
 	Factor int
 	// Root is the store root, the same path on every node.
 	Root string
-	// FanOut bounds the concurrent pushers a generation's fan-out may
-	// use (0 means DefaultFanOut).  Peers are pushed to in parallel,
-	// so the unreplicated window shrinks from sum-of-pushes to
-	// roughly the slowest single push.
-	FanOut int
 }
 
 // Job is one committed generation awaiting replication.
@@ -109,9 +103,9 @@ type Job struct {
 	// is paced by Params.RepairQoS so restoring redundancy cannot
 	// starve foreground checkpoint pushes of network bandwidth.
 	Repair bool
-	// Cancel, when set, is polled between pushes; returning true
-	// abandons the rest of the job cleanly (the generation aged out or
-	// was superseded mid-repair).
+	// Cancel, when set, is polled before each peer's push and between
+	// chunks; returning true abandons the rest of the job cleanly (the
+	// generation aged out or was superseded mid-repair).
 	Cancel func() bool
 	// OnDone, when set, is called once when the job finishes;
 	// restored reports whether every target ended holding a full copy.
@@ -158,13 +152,6 @@ type Stats struct {
 	ScrubChunks   int
 	ScrubCorrupt  int
 	CorruptServed int
-}
-
-// FetchStats reports one EnsureLocal call.
-type FetchStats struct {
-	ManifestFetched bool
-	Chunks          int
-	Bytes           int64
 }
 
 type nodeQueue struct {
@@ -290,29 +277,9 @@ func (sv *Service) EndCommit(n *kernel.Node) {
 // their fan-out resolves.
 func (sv *Service) Pending() int {
 	n := 0
-	for node, q := range sv.queues {
-		if node.Down {
-			continue
-		}
-		n += len(q.jobs)
-		if q.busy {
-			n++
-		}
-	}
-	for node, c := range sv.inflight {
-		if node.Down {
-			continue
-		}
-		n += c
-	}
-	for node, ss := range sv.streams {
-		if node.Down {
-			continue
-		}
-		for _, s := range ss {
-			if !s.aborted {
-				n++
-			}
+	for _, node := range sv.C.Nodes() {
+		if !node.Down {
+			n += sv.PendingOn(node)
 		}
 	}
 	return n
@@ -392,28 +359,18 @@ var ErrDeposed = errors.New("replica: deposed by newer coordinator epoch")
 // acknowledged seq.
 func (sv *Service) PushJournal(t *kernel.Task, peerHost string, m *coordstate.Machine) (int64, error) {
 	p := sv.C.Params
-	fd := t.Socket()
-	if of, err := t.P.FD(fd); err == nil {
-		of.Protected = true // infrastructure socket: not checkpointed
-	}
-	defer t.Close(fd)
-	if err := t.Connect(fd, kernel.Addr{Host: peerHost, Port: Port}); err != nil {
+	fd, err := dial(t, peerHost)
+	if err != nil {
 		return 0, fmt.Errorf("replica: journal push to %s: %w", peerHost, err)
 	}
+	defer t.Close(fd)
 	var e bin.Encoder
 	e.B = append(e.B, opJWant)
 	e.I64(m.Epoch())
-	if err := t.SendFrame(fd, e.B); err != nil {
-		return 0, err
-	}
-	resp, err := t.RecvFrame(fd)
+	d, err := call(t, fd, e.B)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("replica: journal handshake with %s: %w", peerHost, err)
 	}
-	if len(resp) == 0 || resp[0] != opAck {
-		return 0, fmt.Errorf("replica: %s refused journal handshake", peerHost)
-	}
-	d := &bin.Decoder{B: resp[1:]}
 	peerEpoch, have := d.I64(), d.I64()
 	if peerEpoch > m.Epoch() {
 		return 0, fmt.Errorf("%s is on epoch %d, pusher on %d: %w", peerHost, peerEpoch, m.Epoch(), ErrDeposed)
@@ -435,17 +392,11 @@ func (sv *Service) PushJournal(t *kernel.Task, peerHost string, m *coordstate.Ma
 		se.Bytes(snap)
 		t.Compute(p.JournalAppendCost)
 		t.Idle(model.TransferTime(p.NetLatency, p.NetBandwidth, int64(len(snap))))
-		if err := t.SendFrame(fd, se.B); err != nil {
-			return have, err
-		}
-		sack, err := t.RecvFrame(fd)
+		sd, err := call(t, fd, se.B)
 		if err != nil {
-			return have, err
+			return have, fmt.Errorf("replica: journal snapshot to %s: %w", peerHost, err)
 		}
-		if len(sack) == 0 || sack[0] != opAck {
-			return have, fmt.Errorf("replica: %s rejected journal snapshot", peerHost)
-		}
-		have = (&bin.Decoder{B: sack[1:]}).I64()
+		have = sd.I64()
 		from = base
 		sv.Stats.JournalSnapshots++
 		sv.Stats.JournalBytes += int64(len(snap))
@@ -467,17 +418,11 @@ func (sv *Service) PushJournal(t *kernel.Task, peerHost string, m *coordstate.Ma
 	}
 	t.Compute(time.Duration(len(entries)) * p.JournalAppendCost)
 	t.Idle(model.TransferTime(p.NetLatency, p.NetBandwidth, total))
-	if err := t.SendFrame(fd, je.B); err != nil {
-		return have, err
-	}
-	ack, err := t.RecvFrame(fd)
+	ad, err := call(t, fd, je.B)
 	if err != nil {
-		return have, err
+		return have, fmt.Errorf("replica: journal batch to %s: %w", peerHost, err)
 	}
-	if len(ack) == 0 || ack[0] != opAck {
-		return have, fmt.Errorf("replica: %s rejected journal batch", peerHost)
-	}
-	got := (&bin.Decoder{B: ack[1:]}).I64()
+	got := ad.I64()
 	sv.Stats.JournalEntries += len(entries)
 	sv.Stats.JournalBytes += total
 	return got, nil
@@ -568,16 +513,12 @@ func (sv *Service) worker(t *kernel.Task) {
 }
 
 // replicate pushes one committed generation to every placement target
-// concurrently — bounded worker tasks, the simulation's goroutines —
-// and advances the source store's replication watermark once the full
-// fan-out has succeeded.  Parallel pushes shrink the unreplicated
-// window recovery must roll back across from the sum of the per-peer
-// pushes to roughly the slowest one.  The outcome is independent of
-// completion order: the done count and the watermark depend only on
-// the set of pushes that succeeded.
+// concurrently (see Stream.fanOut) and waits for the fan-out to
+// resolve.  Parallel pushes shrink the unreplicated window recovery
+// must roll back across from the sum of the per-peer pushes to roughly
+// the slowest one.
 func (sv *Service) replicate(t *kernel.Task, job Job) {
 	src := t.P.Node
-	st := store.Open(src, store.Config{Root: sv.Cfg.Root})
 	restored := false
 	start := t.Now()
 	defer func() {
@@ -597,7 +538,7 @@ func (sv *Service) replicate(t *kernel.Task, job Job) {
 		sv.Stats.RepairCancels++
 		return // superseded before its turn came
 	}
-	m, err := st.LoadManifest(job.ManifestPath)
+	m, err := store.Open(src, store.Config{Root: sv.Cfg.Root}).LoadManifest(job.ManifestPath)
 	if err != nil {
 		if job.Repair {
 			sv.Stats.RepairCancels++
@@ -611,230 +552,19 @@ func (sv *Service) replicate(t *kernel.Task, job Job) {
 	if len(targets) == 0 {
 		return
 	}
-	width := sv.Cfg.FanOut
-	if width <= 0 {
-		width = DefaultFanOut
+	s := &Stream{sv: sv, src: src, job: job, refs: m.Refs(), committed: true,
+		w: sim.NewWaitQueue(sv.C.Eng, src.Hostname+".replfan")}
+	s.fanOut(t.P, targets, nil)
+	for s.pending > 0 {
+		s.w.Wait(t.T)
 	}
-	if width > len(targets) {
-		width = len(targets)
-	}
-	next, done, finished := 0, 0, 0
-	joinW := sim.NewWaitQueue(sv.C.Eng, src.Hostname+".replfan")
-	for i := 0; i < width; i++ {
-		t.P.SpawnTask("repl-push", false, func(wt *kernel.Task) {
-			for next < len(targets) {
-				if job.Cancel != nil && job.Cancel() {
-					break // abandon the remaining peers cleanly
-				}
-				peer := targets[next]
-				next++
-				if sv.pushTo(wt, st, peer, job, m) {
-					done++
-					if sv.OnReplicated != nil {
-						sv.OnReplicated(job.Name, job.Generation, peer.Hostname)
-					}
-				}
-			}
-			finished++
-			joinW.WakeAll()
-		})
-	}
-	for finished < width {
-		joinW.Wait(t.T)
-	}
-	if job.Cancel != nil && job.Cancel() && done < len(targets) {
+	restored = s.okPeers == len(targets)
+	switch {
+	case restored && job.Repair:
+		sv.Stats.RepairJobs++
+	case !restored && job.Cancel != nil && job.Cancel():
 		sv.Stats.RepairCancels++
-		return
 	}
-	if done == len(targets) {
-		restored = true
-		st.SetReplicationWatermark(t, job.Name, job.Generation)
-		sv.Stats.Generations++
-		if job.Repair {
-			sv.Stats.RepairJobs++
-		}
-		if sv.OnWatermark != nil {
-			sv.OnWatermark(job.Name, job.Generation, src.Hostname)
-		}
-	}
-}
-
-// pushTo copies one generation to one peer, shipping only the chunks
-// the peer lacks.
-func (sv *Service) pushTo(t *kernel.Task, st *store.Store, peer *kernel.Node, job Job, m *store.Manifest) bool {
-	fd := t.Socket()
-	defer t.Close(fd)
-	if err := t.Connect(fd, kernel.Addr{Host: peer.Hostname, Port: Port}); err != nil {
-		return false
-	}
-
-	// 1. Dedup handshake: which chunks does the peer lack?
-	refs := m.Refs()
-	missing, ok := sv.wantMissing(t, fd, refs)
-	if !ok {
-		return false
-	}
-
-	// 2. Ship the manifest first: once it lands, the chunks that
-	// follow are referenced the moment they arrive, so the peer's own
-	// mark-and-sweep can never treat them as garbage mid-push.
-	if !sv.shipManifest(t, fd, job.ManifestPath) {
-		return false
-	}
-
-	// 3. Ship the missing chunks, then verify the whole generation.
-	if !sv.shipChunks(t, st, fd, missing, job) {
-		return false
-	}
-	if !sv.verifyPush(t, st, fd, job.ManifestPath, refs, job) {
-		return false
-	}
-	sv.Stats.Pushes++
-	if job.Repair {
-		sv.Stats.RepairPushes++
-	}
-	return true
-}
-
-// wantMissing runs the want/missing dedup handshake for one batch of
-// refs on an open peer connection, returning the subset the peer
-// lacks.
-func (sv *Service) wantMissing(t *kernel.Task, fd int, refs []store.ChunkRef) ([]store.ChunkRef, bool) {
-	var e bin.Encoder
-	e.B = append(e.B, opWant)
-	e.U32(uint32(len(refs)))
-	for _, r := range refs {
-		e.Str(r.Hash)
-	}
-	if err := t.SendFrame(fd, e.B); err != nil {
-		return nil, false
-	}
-	resp, err := t.RecvFrame(fd)
-	if err != nil || len(resp) == 0 || resp[0] != opAck {
-		return nil, false
-	}
-	d := &bin.Decoder{B: resp[1:]}
-	nMissing := int(d.U32())
-	missing := make([]store.ChunkRef, 0, nMissing)
-	for i := 0; i < nMissing && d.Err == nil; i++ {
-		idx := int(d.U32())
-		if idx < 0 || idx >= len(refs) {
-			return nil, false
-		}
-		missing = append(missing, refs[idx])
-	}
-	return missing, true
-}
-
-// shipManifest sends one manifest to an open peer connection.
-func (sv *Service) shipManifest(t *kernel.Task, fd int, manifestPath string) bool {
-	p := t.P.Node.Cluster.Params
-	ino, err := t.P.Node.FS.ReadFile(manifestPath)
-	if err != nil {
-		return false
-	}
-	t.Idle(model.TransferTime(p.NetLatency, p.NetBandwidth, int64(len(ino.Data))))
-	var me bin.Encoder
-	me.B = append(me.B, opManifest)
-	me.Str(manifestPath)
-	me.Bytes(ino.Data)
-	if err := t.SendFrame(fd, me.B); err != nil {
-		return false
-	}
-	sv.Stats.ManifestBytes += int64(len(ino.Data))
-	return true
-}
-
-// verifyPush has the peer check a shipped generation against the
-// manifest it now holds, re-pushing any holes.  The verification
-// closes the remaining race: a chunk the want-reply counted as present
-// could have been swept by the peer's GC (its referencing manifest
-// pruned) before our manifest arrived to pin it — and, on the eager
-// streaming path, a chunk streamed ahead of the manifest could have
-// been swept as unreferenced garbage in the same window.
-func (sv *Service) verifyPush(t *kernel.Task, st *store.Store, fd int, manifestPath string, refs []store.ChunkRef, job Job) bool {
-	for attempt := 0; ; attempt++ {
-		var de bin.Encoder
-		de.B = append(de.B, opDone)
-		de.Str(manifestPath)
-		if err := t.SendFrame(fd, de.B); err != nil {
-			return false
-		}
-		ack, err := t.RecvFrame(fd)
-		if err != nil || len(ack) == 0 || ack[0] != opAck {
-			return false
-		}
-		d := &bin.Decoder{B: ack[1:]}
-		nHoles := int(d.U32())
-		if nHoles == 0 {
-			return true
-		}
-		if attempt >= 2 {
-			return false
-		}
-		missing := make([]store.ChunkRef, 0, nHoles)
-		for i := 0; i < nHoles && d.Err == nil; i++ {
-			idx := int(d.U32())
-			if idx < 0 || idx >= len(refs) {
-				return false
-			}
-			missing = append(missing, refs[idx])
-		}
-		if !sv.shipChunks(t, st, fd, missing, job) {
-			return false
-		}
-	}
-}
-
-// shipChunks streams the given chunks to an open peer connection:
-// local disk read plus one network transfer of the stored (compressed)
-// bytes each.  Chunks travel in stored form — no decompression, and
-// the transfer occupies no core.  Repair traffic is paced by
-// Params.RepairQoS: after each chunk's transfer the shipper idles
-// transfer×(1−q)/q, capping repair at fraction q of the push bandwidth
-// so foreground checkpoint replication keeps the rest.  A repair job
-// cancelled mid-push (its generation superseded) stops at the next
-// chunk boundary instead of finishing a transfer nobody needs.
-func (sv *Service) shipChunks(t *kernel.Task, st *store.Store, fd int, refs []store.ChunkRef, job Job) bool {
-	p := t.P.Node.Cluster.Params
-	repair := job.Repair
-	var sent int64
-	st.ChargeReadRaw(t, refs)
-	for _, ref := range refs {
-		if repair && job.Cancel != nil && job.Cancel() {
-			return false
-		}
-		// Verified read: a locally corrupt chunk is quarantined instead
-		// of shipped, the push fails, and the repair drive re-sources
-		// the generation from a clean holder.
-		data, err := st.ReadChunkVerified(t, ref)
-		if err != nil {
-			return false
-		}
-		transfer := model.TransferTime(p.NetLatency, p.NetBandwidth, ref.StoredBytes)
-		t.Idle(transfer)
-		if q := p.RepairQoS; repair && q > 0 && q < 1 {
-			t.Idle(time.Duration(float64(transfer) * (1 - q) / q))
-		}
-		var ce bin.Encoder
-		ce.B = append(ce.B, opChunk)
-		ce.Str(ref.Hash)
-		ce.I64(ref.LogicalBytes)
-		ce.I64(ref.StoredBytes)
-		ce.F64(ref.Entropy)
-		ce.F64(ref.ZeroFrac)
-		ce.I64(ref.Heat)
-		ce.Str(ref.Sum)
-		ce.Bytes(data)
-		if err := t.SendFrame(fd, ce.B); err != nil {
-			return false
-		}
-		sv.Stats.ChunksSent++
-		sv.Stats.BytesSent += ref.StoredBytes
-		sent += ref.StoredBytes
-	}
-	t.Trace().Add(t.Host(), "repl.bytes_sent", t.Now(), sent)
-	return true
 }
 
 // serve handles one peer connection against this node's store.
@@ -852,12 +582,15 @@ func (sv *Service) serve(t *kernel.Task, fd int) {
 		}
 		t.Compute(p.ReplicaRPCCost)
 		body := frame[1:]
+		mach := sv.sinks[t.P.Node]
+		if mach == nil && (frame[0] == opJWant || frame[0] == opJSnap || frame[0] == opJAppend) {
+			t.SendFrame(fd, []byte{opErr}) // no standby coordinator here
+			continue
+		}
 		switch frame[0] {
 		case opWant:
 			d := &bin.Decoder{B: body}
 			n := int(d.U32())
-			var e bin.Encoder
-			e.B = append(e.B, opAck)
 			var idx []uint32
 			for i := 0; i < n && d.Err == nil; i++ {
 				hash := d.Str()
@@ -866,11 +599,13 @@ func (sv *Service) serve(t *kernel.Task, fd int) {
 					idx = append(idx, uint32(i))
 				}
 			}
-			e.U32(uint32(len(idx)))
-			for _, i := range idx {
-				e.U32(i)
+			if d.Err != nil {
+				// Truncated request: a partial answer would read as
+				// "the peer holds the rest".
+				t.SendFrame(fd, []byte{opErr})
+				continue
 			}
-			t.SendFrame(fd, e.B)
+			t.SendFrame(fd, indexReply(idx))
 		case opChunk:
 			d := &bin.Decoder{B: body}
 			ref := store.ChunkRef{Hash: d.Str()}
@@ -901,7 +636,7 @@ func (sv *Service) serve(t *kernel.Task, fd int) {
 			d := &bin.Decoder{B: body}
 			path := d.Str()
 			m, err := st.LoadManifest(path)
-			if err != nil {
+			if d.Err != nil || err != nil {
 				t.SendFrame(fd, []byte{opErr})
 				continue
 			}
@@ -912,19 +647,8 @@ func (sv *Service) serve(t *kernel.Task, fd int) {
 					holes = append(holes, uint32(i))
 				}
 			}
-			var e bin.Encoder
-			e.B = append(e.B, opAck)
-			e.U32(uint32(len(holes)))
-			for _, i := range holes {
-				e.U32(i)
-			}
-			t.SendFrame(fd, e.B)
+			t.SendFrame(fd, indexReply(holes))
 		case opJWant:
-			mach := sv.sinks[t.P.Node]
-			if mach == nil {
-				t.SendFrame(fd, []byte{opErr})
-				continue
-			}
 			d := &bin.Decoder{B: body}
 			epoch := d.I64()
 			// The handshake is read-only, so even a stale-epoch pusher
@@ -941,11 +665,6 @@ func (sv *Service) serve(t *kernel.Task, fd int) {
 			e.I64(mach.Seq())
 			t.SendFrame(fd, e.B)
 		case opJSnap:
-			mach := sv.sinks[t.P.Node]
-			if mach == nil {
-				t.SendFrame(fd, []byte{opErr})
-				continue
-			}
 			d := &bin.Decoder{B: body}
 			epoch, base := d.I64(), d.I64()
 			data := d.Bytes()
@@ -966,11 +685,6 @@ func (sv *Service) serve(t *kernel.Task, fd int) {
 			e.I64(mach.Seq())
 			t.SendFrame(fd, e.B)
 		case opJAppend:
-			mach := sv.sinks[t.P.Node]
-			if mach == nil {
-				t.SendFrame(fd, []byte{opErr})
-				continue
-			}
 			d := &bin.Decoder{B: body}
 			epoch, from := d.I64(), d.I64()
 			if d.Err != nil || epoch < mach.Epoch() {
@@ -1048,44 +762,6 @@ func (sv *Service) serve(t *kernel.Task, fd int) {
 	}
 }
 
-// EnsureLocal makes one manifest generation restorable on the calling
-// task's node, fetching the manifest and any chunks the local store
-// lacks from the replica daemon on fromHost.  This is the restart-time
-// remote-fetch path: recovery and migration both ride it, and because
-// it asks only for missing chunks, a node that already holds replicas
-// fetches ~nothing.
-func (sv *Service) EnsureLocal(t *kernel.Task, manifestPath, fromHost string) (FetchStats, error) {
-	return sv.EnsureLocalN(t, manifestPath, fromHost, 1)
-}
-
-// EnsureLocalN is EnsureLocal with a parallel fetch pool: missing
-// chunks are partitioned across workers tasks, each pulling over its
-// own connection to fromHost's daemon, so a recovery fetch can use the
-// peer's read bandwidth and the local cores (chunk writes land
-// decompressed-never, but local store writes still cost bandwidth)
-// instead of serializing request/response round trips.
-func (sv *Service) EnsureLocalN(t *kernel.Task, manifestPath, fromHost string, workers int) (FetchStats, error) {
-	var fs FetchStats
-	fetched, err := sv.EnsureManifest(t, manifestPath, fromHost)
-	if err != nil {
-		return fs, err
-	}
-	fs.ManifestFetched = fetched
-	local := store.Open(t.P.Node, store.Config{Root: sv.Cfg.Root})
-	m, err := local.LoadManifest(manifestPath)
-	if err != nil {
-		return fs, err
-	}
-	missing := local.MissingChunks(m.Refs())
-	if len(missing) == 0 {
-		return fs, nil
-	}
-	bytes, chunks, err := sv.FetchChunks(t, fromHost, missing, workers, nil)
-	fs.Bytes += bytes
-	fs.Chunks += chunks
-	return fs, err
-}
-
 // EnsureManifest makes one manifest present in the calling node's
 // store, pulling it from fromHost's replica daemon when the local
 // filesystem lacks it.  It reports whether a fetch happened.
@@ -1094,119 +770,64 @@ func (sv *Service) EnsureManifest(t *kernel.Task, manifestPath, fromHost string)
 		return false, nil
 	}
 	local := store.Open(t.P.Node, store.Config{Root: sv.Cfg.Root})
-	fd := t.Socket()
-	if of, err := t.P.FD(fd); err == nil {
-		of.Protected = true // infrastructure socket: not checkpointed
-	}
-	defer t.Close(fd)
-	if err := t.Connect(fd, kernel.Addr{Host: fromHost, Port: Port}); err != nil {
+	fd, err := dial(t, fromHost)
+	if err != nil {
 		return false, fmt.Errorf("replica: fetch %s from %s: %w", manifestPath, fromHost, err)
 	}
+	defer t.Close(fd)
 	var e bin.Encoder
 	e.B = append(e.B, opGetMan)
 	e.Str(manifestPath)
-	if err := t.SendFrame(fd, e.B); err != nil {
-		return false, err
-	}
-	resp, err := t.RecvFrame(fd)
+	d, err := call(t, fd, e.B)
 	if err != nil {
-		return false, err
+		return false, fmt.Errorf("replica: fetch %s from %s: %w", manifestPath, fromHost, err)
 	}
-	if len(resp) == 0 || resp[0] != opAck {
-		return false, fmt.Errorf("replica: %s has no manifest %s", fromHost, manifestPath)
-	}
-	d := &bin.Decoder{B: resp[1:]}
 	local.PutRawManifest(t, manifestPath, d.Bytes())
 	return true, nil
 }
 
-// FetchChunks pulls the given chunks from fromHost's replica daemon
-// into the calling node's store over up to workers connections,
-// invoking deliver (when non-nil) as each chunk lands — the pull-
-// stream peer of the eager-replication Stream, and what the streamed
-// restore pipeline consumes: an install pool decompresses delivered
-// chunks while later ones are still in flight.  Chunks already local
-// are delivered without touching the network.  It returns the stored
-// bytes and chunk count actually transferred; on error, everything
-// delivered so far is durable and the caller may resume against
-// another holder with the still-missing subset.
-func (sv *Service) FetchChunks(t *kernel.Task, fromHost string, refs []store.ChunkRef, workers int, deliver func(store.ChunkRef)) (int64, int, error) {
-	local := store.Open(t.P.Node, store.Config{Root: sv.Cfg.Root})
-	var todo []store.ChunkRef
-	for _, ref := range refs {
-		if local.HasChunk(ref.Hash) {
-			if deliver != nil {
-				deliver(ref)
-			}
-			continue
-		}
-		todo = append(todo, ref)
+// errRefused reports a request the peer's daemon answered with
+// anything but an ack.
+var errRefused = errors.New("refused by peer")
+
+// call sends one request frame and reads the reply, returning a
+// decoder over the body of an ack.
+func call(t *kernel.Task, fd int, req []byte) (bin.Decoder, error) {
+	if err := t.SendFrame(fd, req); err != nil {
+		return bin.Decoder{}, err
 	}
-	if len(todo) == 0 {
-		return 0, 0, nil
-	}
-	pullStart := t.Now()
-	var bytes int64
-	chunks := 0
-	// fetchOne pulls one chunk over an open connection.
-	fetchOne := func(ft *kernel.Task, cfd int, ref store.ChunkRef) error {
-		var e bin.Encoder
-		e.B = append(e.B, opGetChunk)
-		e.Str(ref.Hash)
-		e.Str(ref.Sum)
-		if err := ft.SendFrame(cfd, e.B); err != nil {
-			return err
-		}
-		resp, err := ft.RecvFrame(cfd)
-		if err != nil {
-			return err
-		}
-		if len(resp) == 0 || resp[0] != opAck {
-			return fmt.Errorf("replica: %s lacks chunk %s", fromHost, ref.Hash)
-		}
-		d := &bin.Decoder{B: resp[1:]}
-		if _, err := local.PutReplicaChunk(ft, ref, d.Bytes()); err != nil {
-			return fmt.Errorf("replica: fetch %s from %s: %w", ref.Hash, fromHost, err)
-		}
-		bytes += ref.StoredBytes
-		chunks++
-		if deliver != nil {
-			deliver(ref)
-		}
-		return nil
-	}
-	// Workers claim chunks through the shared worker pool, each over
-	// its own (lazily dialed) connection to the serving daemon.
-	// Connections live in the calling process's fd table and are
-	// closed after the pool drains.
-	if workers < 1 {
-		workers = 1
-	}
-	conns := map[*kernel.Task]int{}
-	defer func() {
-		for _, cfd := range conns {
-			t.Close(cfd)
-		}
-	}()
-	err := kernel.RunWorkers(t, workers, len(todo), "fetch-worker", func(ft *kernel.Task, i int) error {
-		cfd, ok := conns[ft]
-		if !ok {
-			cfd = ft.Socket()
-			if of, ferr := ft.P.FD(cfd); ferr == nil {
-				of.Protected = true
-			}
-			conns[ft] = cfd
-			if cerr := ft.Connect(cfd, kernel.Addr{Host: fromHost, Port: Port}); cerr != nil {
-				return cerr
-			}
-		}
-		return fetchOne(ft, cfd, todo[i])
-	})
-	t.Trace().Span(t.Host(), "replicad pull", "repl.fetch", "repl", pullStart, t.Now(),
-		obs.A("bytes", bytes), obs.A("chunks", int64(chunks)), obs.A("workers", int64(workers)))
-	t.Trace().Add(t.Host(), "repl.bytes_fetched", t.Now(), bytes)
+	resp, err := t.RecvFrame(fd)
 	if err != nil {
-		return bytes, chunks, fmt.Errorf("replica: fetch chunks from %s: %w", fromHost, err)
+		return bin.Decoder{}, err
 	}
-	return bytes, chunks, nil
+	if len(resp) == 0 || resp[0] != opAck {
+		return bin.Decoder{}, errRefused
+	}
+	return bin.Decoder{B: resp[1:]}, nil
+}
+
+// indexReply encodes the answer to a want or done request: opAck, a
+// count, then that many indices into the request's chunk list.
+func indexReply(idx []uint32) []byte {
+	var e bin.Encoder
+	e.B = append(e.B, opAck)
+	e.U32(uint32(len(idx)))
+	for _, i := range idx {
+		e.U32(i)
+	}
+	return e.B
+}
+
+// dial opens a connection to host's replica daemon.  The socket is
+// infrastructure, never part of a checkpoint.
+func dial(t *kernel.Task, host string) (int, error) {
+	fd := t.Socket()
+	if of, err := t.P.FD(fd); err == nil {
+		of.Protected = true
+	}
+	if err := t.Connect(fd, kernel.Addr{Host: host, Port: Port}); err != nil {
+		t.Close(fd)
+		return -1, err
+	}
+	return fd, nil
 }

@@ -133,7 +133,24 @@ func TestFanOutReplicatesAndDedups(t *testing.T) {
 	})
 }
 
-func TestEnsureLocalFetchesOnlyMissing(t *testing.T) {
+// pullImage makes the manifest at path local on node and pulls its
+// chunks from holder over conns connections, the way a serial restore
+// pre-fetches an image.  It reports whether the manifest traveled and
+// what the chunk pull moved.
+func pullImage(task *kernel.Task, sv *replica.Service, path, holder string, conns int) (manifest bool, chunks int, bytes int64, err error) {
+	if manifest, err = sv.EnsureManifest(task, path, holder); err != nil {
+		return
+	}
+	m, err := store.Open(task.P.Node, store.Config{Root: root}).LoadManifest(path)
+	if err != nil {
+		return
+	}
+	ps := replica.NewPullStream(task, sv, []string{holder}, conns, m.Refs(), nil)
+	err = ps.Wait(task)
+	return manifest, ps.Chunks(), ps.Bytes(), err
+}
+
+func TestPullStreamFetchesOnlyMissing(t *testing.T) {
 	eng, c := testCluster(t, 3)
 	sv := replica.Install(c, replica.Config{Factor: 1, Root: root})
 	if err := sv.StartAll(); err != nil {
@@ -148,11 +165,13 @@ func TestEnsureLocalFetchesOnlyMissing(t *testing.T) {
 		// node02 holds nothing (factor 1 → only node01): a fetch from
 		// node00 must pull the manifest and every chunk, charging time.
 		t0 := task.Now()
-		var fs replica.FetchStats
+		var manifest bool
+		var chunks int
+		var bytes int64
 		var err error
 		done := false
 		c.RegisterFunc("fetcher", func(ft *kernel.Task, _ []string) {
-			fs, err = sv.EnsureLocal(ft, p1, "node00")
+			manifest, chunks, bytes, err = pullImage(ft, sv, p1, "node00", 1)
 			done = true
 		})
 		if _, err := c.Node(2).Kern.Spawn("fetcher", nil, nil); err != nil {
@@ -164,8 +183,8 @@ func TestEnsureLocalFetchesOnlyMissing(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fetch: %v", err)
 		}
-		if !fs.ManifestFetched || fs.Chunks == 0 || fs.Bytes == 0 {
-			t.Errorf("cold fetch = %+v", fs)
+		if !manifest || chunks == 0 || bytes == 0 {
+			t.Errorf("cold fetch = manifest %v, %d chunks, %d bytes", manifest, chunks, bytes)
 		}
 		if task.Now().Sub(t0) <= 0 {
 			t.Error("fetch charged no time")
@@ -187,18 +206,18 @@ func TestEnsureLocalFetchesOnlyMissing(t *testing.T) {
 		for !done {
 			task.Compute(10 * time.Millisecond)
 		}
-		if err != nil || fs.ManifestFetched || fs.Chunks != 0 {
-			t.Errorf("warm fetch = %+v, %v — dedup not applied", fs, err)
+		if err != nil || manifest || chunks != 0 {
+			t.Errorf("warm fetch = manifest %v, %d chunks, %v — dedup not applied", manifest, chunks, err)
 		}
 	})
 }
 
 // fanOutOnce runs one factor-3 fan-out on a fresh cluster and reports
 // the outcome facts order-independence is judged on.
-func fanOutOnce(t *testing.T, seed int64, fanOut int) (bytesSent int64, pushes int, holders []string) {
+func fanOutOnce(t *testing.T, seed int64) (bytesSent int64, pushes int, holders []string) {
 	t.Helper()
 	eng, c := seededCluster(t, seed, 5)
-	sv := replica.Install(c, replica.Config{Factor: 3, Root: root, FanOut: fanOut})
+	sv := replica.Install(c, replica.Config{Factor: 3, Root: root})
 	if err := sv.StartAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -232,26 +251,22 @@ func fanOutOnce(t *testing.T, seed int64, fanOut int) (bytesSent int64, pushes i
 }
 
 // TestParallelFanOutOrderIndependence pins the concurrent fan-out's
-// contract: whatever order the parallel pushers complete in — and
-// however wide the pool is, including the width-1 sequential case —
-// the outcome is identical: same peers hold complete generations,
-// same bytes shipped, same watermark.
+// contract: whatever order the parallel pushers complete in, the
+// outcome is identical: same peers hold complete generations, same
+// bytes shipped, same watermark.
 func TestParallelFanOutOrderIndependence(t *testing.T) {
-	refBytes, refPushes, refHolders := fanOutOnce(t, 1, 0) // default parallel width
+	refBytes, refPushes, refHolders := fanOutOnce(t, 1)
 	if refPushes != 3 || len(refHolders) != 3 {
 		t.Fatalf("fan-out incomplete: pushes=%d holders=%v", refPushes, refHolders)
 	}
 	for _, tc := range []struct {
-		name   string
-		seed   int64
-		fanOut int
+		name string
+		seed int64
 	}{
-		{"different schedule", 7, 0},
-		{"another schedule", 23, 0},
-		{"width 2", 1, 2},
-		{"sequential", 1, 1},
+		{"different schedule", 7},
+		{"another schedule", 23},
 	} {
-		bytes, pushes, holders := fanOutOnce(t, tc.seed, tc.fanOut)
+		bytes, pushes, holders := fanOutOnce(t, tc.seed)
 		if bytes != refBytes || pushes != refPushes || !reflect.DeepEqual(holders, refHolders) {
 			t.Errorf("%s: outcome diverged: bytes %d vs %d, pushes %d vs %d, holders %v vs %v",
 				tc.name, bytes, refBytes, pushes, refPushes, holders, refHolders)
@@ -372,11 +387,11 @@ func TestJournalFenceAfterDoubleTakeover(t *testing.T) {
 	})
 }
 
-// TestFetchChunksStreamsAndShortCircuits pins the pull-stream
+// TestPullStreamDeliversAndShortCircuits pins the pull-stream
 // contract: every chunk is delivered exactly once, is locally durable
 // at delivery time, and chunks the local store already holds are
 // delivered without touching the network.
-func TestFetchChunksStreamsAndShortCircuits(t *testing.T) {
+func TestPullStreamDeliversAndShortCircuits(t *testing.T) {
 	eng, c := testCluster(t, 3)
 	sv := replica.Install(c, replica.Config{Factor: 1, Root: root})
 	if err := sv.StartAll(); err != nil {
@@ -405,12 +420,14 @@ func TestFetchChunksStreamsAndShortCircuits(t *testing.T) {
 		var ferr error
 		done := false
 		c.RegisterFunc("fetcher2", func(ft *kernel.Task, _ []string) {
-			netBytes, nChunks, ferr = sv.FetchChunks(ft, "node00", refs, 4, func(ref store.ChunkRef) {
+			ps := replica.NewPullStream(ft, sv, []string{"node00"}, 4, refs, func(ref store.ChunkRef) {
 				if !local.HasChunk(ref.Hash) {
 					t.Errorf("chunk %s delivered before it was durable", ref.Hash)
 				}
 				delivered[ref.Hash]++
 			})
+			ferr = ps.Wait(ft)
+			netBytes, nChunks = ps.Bytes(), ps.Chunks()
 			done = true
 		})
 		if _, err := c.Node(2).Kern.Spawn("fetcher2", nil, nil); err != nil {
@@ -434,6 +451,66 @@ func TestFetchChunksStreamsAndShortCircuits(t *testing.T) {
 		for h, n := range delivered {
 			if n != 1 {
 				t.Errorf("chunk %s delivered %d times", h, n)
+			}
+		}
+	})
+}
+
+// TestPullStreamHolderLostOverManyConnections kills the only holder
+// while four connections are pulling from it: Wait fails with a
+// HolderLostError naming that holder once (not once per connection),
+// and every chunk delivered before the loss is durable.
+func TestPullStreamHolderLostOverManyConnections(t *testing.T) {
+	eng, c := testCluster(t, 3)
+	sv := replica.Install(c, replica.Config{Factor: 1, Root: root})
+	if err := sv.StartAll(); err != nil {
+		t.Fatal(err)
+	}
+	run(t, eng, c, func(task *kernel.Task) {
+		p1 := commit(task, 0, 0)
+		name, gen, _ := store.NameForManifest(p1)
+		sv.Enqueue(c.Node(0), replica.Job{Name: name, Generation: gen, ManifestPath: p1})
+		sv.WaitIdle(task) // node01 now holds the generation
+		m, err := store.Open(c.Node(0), store.Config{Root: root}).LoadManifest(p1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs := m.Refs()
+		local := store.Open(c.Node(2), store.Config{Root: root})
+
+		var delivered []store.ChunkRef
+		var ferr error
+		done := false
+		c.RegisterFunc("fetcher3", func(ft *kernel.Task, _ []string) {
+			ps := replica.NewPullStream(ft, sv, []string{"node01"}, 4, refs, func(ref store.ChunkRef) {
+				delivered = append(delivered, ref)
+			})
+			ferr = ps.Wait(ft)
+			done = true
+		})
+		if _, err := c.Node(2).Kern.Spawn("fetcher3", nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		task.Idle(20 * time.Millisecond)
+		if len(delivered) == 0 || len(delivered) == len(refs) {
+			t.Fatalf("holder kill not mid-stream: %d of %d chunks delivered", len(delivered), len(refs))
+		}
+		if killed := c.KillNode(1); killed == 0 {
+			t.Fatal("holder kill was a no-op")
+		}
+		for !done {
+			task.Idle(10 * time.Millisecond)
+		}
+		var hle *replica.HolderLostError
+		if !errors.As(ferr, &hle) {
+			t.Fatalf("Wait = %v, want a HolderLostError", ferr)
+		}
+		if !reflect.DeepEqual(hle.Hosts, []string{"node01"}) {
+			t.Errorf("HolderLostError hosts = %v, want [node01] once", hle.Hosts)
+		}
+		for _, ref := range delivered {
+			if !local.HasChunk(ref.Hash) {
+				t.Errorf("delivered chunk %s not durable", ref.Hash)
 			}
 		}
 	})
