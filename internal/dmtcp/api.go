@@ -49,13 +49,13 @@ type Config struct {
 	// anchors stay paper-faithful.
 	CkptWorkers int
 
-	// SerialRestore disables the streamed restore pipeline, restoring
-	// store-mode images the old way: fetch every missing chunk from
-	// the replica daemon first, then decompress and install.  It
-	// exists as the honest baseline the restore benchmark compares
-	// against, and it reproduces the legacy path faithfully — including
-	// that CkptWorkers: 0 stays serial rather than auto-sizing.  Leave
-	// it false to overlap fetch and install.
+	// SerialRestore makes store-mode restarts a fetch-then-install
+	// mode of the one restore path (mtcp.Restore): dmtcp_restart first
+	// pre-fetches every missing chunk from the replica daemon, then
+	// installs from local chunks with no fetch stage to overlap.  It
+	// is the honest baseline the restore benchmark compares against;
+	// CkptWorkers: 0 stays serial rather than auto-sizing.  Leave it
+	// false to overlap fetch and install.
 	SerialRestore bool
 
 	// LazyRestore flips store-mode restarts from pre-copy to

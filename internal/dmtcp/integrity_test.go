@@ -2,6 +2,7 @@ package dmtcp
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -79,6 +80,101 @@ func TestRestartHealsCorruptLocalChunk(t *testing.T) {
 		}
 		if !found {
 			t.Error("restored process not running on node02")
+		}
+	})
+}
+
+// coldestChunk returns the hash of the last chunk in the restored
+// image's hot order on node's store: with LazySkeletonChunks far below
+// the chunk count, a lazy restore always leaves it pending.
+func coldestChunk(t *testing.T, e *env, node kernel.NodeID, round *CkptRound) (*store.Store, string) {
+	t.Helper()
+	st := store.Open(e.c.Node(node), store.Config{Root: e.sys.StoreRoot()})
+	m, err := st.LoadManifest(round.Images[0].Path)
+	if err != nil {
+		t.Fatalf("holder manifest: %v", err)
+	}
+	hot := m.HotOrder()
+	return st, hot[len(hot)-1].Ref.Hash
+}
+
+// TestLazyRestartHealsCorruptPendingChunk is the lazy twin of
+// TestRestartHealsCorruptLocalChunk: the corrupt chunk sits in the
+// pending (post-copy) set rather than the skeleton.  The restore must
+// still verify it up front, quarantine it, and let the pull stream
+// fetch the clean copy from the other holder, so the drain ends with
+// a complete, verified store.
+func TestLazyRestartHealsCorruptPendingChunk(t *testing.T) {
+	e := newEnv(t, 4, Config{Compress: true, Store: true, ReplicaFactor: 2, CkptWorkers: 2,
+		LazyRestore: true})
+	e.drive(t, func(task *kernel.Task) {
+		round := restoreEnv(t, e, task) // workload dead; holders: node02, node03
+		st2, hash := coldestChunk(t, e, 2, round)
+		if !st2.CorruptChunk(rand.New(rand.NewSource(3)), hash) {
+			t.Fatalf("chunk %s not present on node02", hash)
+		}
+
+		stats, rerr := e.sys.RestartAll(task, round, Placement{"node01": 2})
+		if rerr != nil {
+			t.Fatalf("lazy restart on corrupted holder: %v", rerr)
+		}
+		if stats.FetchedChunks < 1 {
+			t.Errorf("no chunks fetched: the corrupt pending chunk was taken as local (stats %+v)", stats)
+		}
+		if q := st2.Quarantined(); len(q) != 1 || q[0] != hash {
+			t.Errorf("quarantine = %v, want [%s]", q, hash)
+		}
+		m, err := st2.LoadManifest(round.Images[0].Path)
+		if err != nil {
+			t.Fatalf("manifest on healed holder: %v", err)
+		}
+		if missing := st2.MissingChunks(m.Refs()); len(missing) != 0 {
+			t.Errorf("%d chunks missing after the drain", len(missing))
+		}
+		for _, ref := range m.Refs() {
+			if err := st2.VerifyChunk(ref); err != nil {
+				t.Errorf("chunk %s fails verification after the drain: %v", ref.Hash, err)
+			}
+		}
+	})
+}
+
+// TestLazyRestartFailsOnChunkCorruptedMidDrain corrupts a pending
+// chunk after the restore verified it, while the post-copy tail is
+// still installing from the local store.  The verified read must
+// quarantine it and fail the restart with the typed corruption —
+// never mark the chunk present without its bytes.
+func TestLazyRestartFailsOnChunkCorruptedMidDrain(t *testing.T) {
+	e := newEnv(t, 4, Config{Compress: true, Store: true, ReplicaFactor: 2, CkptWorkers: 2,
+		LazyRestore: true})
+	e.drive(t, func(task *kernel.Task) {
+		round := restoreEnv(t, e, task)
+		st2, hash := coldestChunk(t, e, 2, round)
+
+		var rerr error
+		done := false
+		task.P.SpawnTask("restarter", false, func(rt *kernel.Task) {
+			_, rerr = e.sys.RestartAll(rt, round, Placement{"node01": 2})
+			done = true
+		})
+		task.Idle(100 * time.Millisecond)
+		if done {
+			t.Fatal("restart finished before the mid-drain corruption")
+		}
+		if !st2.CorruptChunk(rand.New(rand.NewSource(3)), hash) {
+			t.Fatalf("chunk %s not present on node02", hash)
+		}
+		for !done {
+			task.Idle(20 * time.Millisecond)
+		}
+		if rerr == nil {
+			t.Fatal("lazy restart installed a chunk corrupted mid-drain")
+		}
+		if msg := rerr.Error(); !strings.Contains(msg, "corrupt chunk") || !strings.Contains(msg, hash) {
+			t.Errorf("restart error %q does not name the corrupt chunk %s", msg, hash)
+		}
+		if q := st2.Quarantined(); len(q) != 1 || q[0] != hash {
+			t.Errorf("quarantine = %v, want [%s]", q, hash)
 		}
 	})
 }

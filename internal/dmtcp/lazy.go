@@ -1,6 +1,7 @@
 package dmtcp
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/kernel"
@@ -133,9 +134,21 @@ func (lc *lazyCtrl) installer(t *kernel.Task) {
 func (lc *lazyCtrl) install(t *kernel.Task, key [2]int, ref store.ChunkRef) {
 	lc.local.ChargeRead(t, []store.ChunkRef{ref})
 	// Verified read: a corrupt local copy is quarantined and never
-	// lands in the process (data stays nil), and the quarantine
-	// counters surface the hit.
-	data, _ := lc.local.ReadChunkVerified(t, ref)
+	// lands in the process; the tail fails with the typed error rather
+	// than marking a hole present.
+	data, err := lc.local.ReadChunkVerified(t, ref)
+	if err != nil {
+		if !errors.Is(err, store.ErrCorruptChunk) {
+			// Restore verified it present: another reader (a replica
+			// push, the scrubber) found it corrupt and quarantined it.
+			err = fmt.Errorf("%w: %s (quarantined before install: %v)", store.ErrCorruptChunk, ref.Hash, err)
+		}
+		if lc.err == nil {
+			lc.err = fmt.Errorf("dmtcp: lazy install of area %d chunk %d: %w", key[0], key[1], err)
+		}
+		lc.w.WakeAll()
+		return
+	}
 	if lc.wired {
 		if a := lc.areas[key[0]]; a != nil {
 			a.InstallChunk(key[1], data)

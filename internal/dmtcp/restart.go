@@ -177,48 +177,46 @@ func (s *System) restartMain(t *kernel.Task, args []string) {
 	}
 
 	// ---- Image loading ---------------------------------------------------
-	// Store manifests ride the streamed restore pipeline: a pull-stream
-	// fetch from a replica holder (when DMTCP_FETCH_FROM names one)
-	// overlapped with a restore worker pool that decompresses and
-	// installs each chunk as it arrives; chunks already local
-	// short-circuit the network stage, so node-failure recovery,
+	// Store manifests ride the one restore pipeline (mtcp.Restore): a
+	// pull-stream fetch from a replica holder (when DMTCP_FETCH_FROM
+	// names one) overlapped with a restore worker pool that verifies,
+	// decompresses and installs each chunk as it arrives; chunks already
+	// local short-circuit the network stage, so node-failure recovery,
 	// store-mode migration, and plain store restarts all ride one path.
 	// Per-image pipelines run concurrently — the node's core scheduler
-	// arbitrates, exactly as the per-process children used to.
-	// Monolithic images load headers here and pay their bulk in the
-	// forked children, as before.
+	// arbitrates.  Monolithic images load headers here and pay their
+	// bulk in the forked children.
 	from := t.P.Env[fetchFromEnv]
+	fetchable := from != "" && s.Replica != nil
 	workers := s.Cfg.CkptWorkers
-	if workers == 0 {
+	if workers == 0 && !s.Cfg.SerialRestore {
 		// Adaptive (CkptWorkers == 0): size the restore pool from the
 		// node's observed idle cores — a restart on an idle node gets
-		// the whole machine, one beside live tenants stays polite.
+		// the whole machine, one beside live tenants stays polite.  The
+		// serial baseline keeps 0 == serial.
 		workers = t.P.Node.CPU().IdleCores()
 	}
 	var maxPipe time.Duration
 	images := make([]*mtcp.Image, len(paths))
 
-	if s.Cfg.SerialRestore {
+	if s.Cfg.SerialRestore && fetchable {
 		// The fetch-then-install baseline: pull every missing chunk
-		// first, then let the children charge the full decompress.
-		// Kept for the restore benchmark's serial column.
-		if from != "" && s.Replica != nil {
-			fStart := t.Now()
-			for _, path := range paths {
-				if !store.IsManifestPath(path) {
-					continue
-				}
-				hf := &holderFetcher{sys: s, path: path, primary: from,
-					workers: s.Cfg.CkptWorkers, target: t.P.Node}
-				bytes, chunks, err := hf.fetchAll(t)
-				if err != nil {
-					fail("fetch %s: %v", path, err)
-				}
-				st.FetchedBytes += bytes
-				st.FetchedChunks += chunks
+		// first; the pipelines below then install from local chunks.
+		fStart := t.Now()
+		for _, path := range paths {
+			if !store.IsManifestPath(path) {
+				continue
 			}
-			st.Fetch = t.Now().Sub(fStart)
+			hf := &holderFetcher{sys: s, path: path, primary: from,
+				workers: workers, target: t.P.Node}
+			bytes, chunks, err := hf.fetchAll(t)
+			if err != nil {
+				fail("fetch %s: %v", path, err)
+			}
+			st.FetchedBytes += bytes
+			st.FetchedChunks += chunks
 		}
+		st.Fetch = t.Now().Sub(fStart)
 	}
 	// Lazy (post-copy) restore: the pipeline installs only a skeleton —
 	// manifest, metadata, and the hottest few chunks — and the rest is
@@ -228,83 +226,74 @@ func (s *System) restartMain(t *kernel.Task, args []string) {
 	lazy := s.Cfg.LazyRestore && !s.Cfg.SerialRestore
 	lazies := make([]*mtcp.LazyState, len(paths))
 	ctrls := make([]*lazyCtrl, len(paths))
-	if !s.Cfg.SerialRestore {
-		stats := make([]mtcp.RestoreStats, len(paths))
-		errs := make([]error, len(paths))
-		pending := 0
-		pipeW := sim.NewWaitQueue(t.P.Node.Cluster.Eng, "restart.pipe")
-		for i, path := range paths {
-			if !store.IsManifestPath(path) {
-				continue
-			}
-			i, path := i, path
-			pending++
-			t.P.SpawnTask("restore-pipe", true, func(pt *kernel.Task) {
-				defer func() {
-					pending--
-					pipeW.WakeAll()
-				}()
-				var fetch mtcp.ChunkFetcher
-				if from != "" && s.Replica != nil {
-					hf := &holderFetcher{sys: s, path: path, primary: from,
-						workers: workers, target: pt.P.Node}
-					if err := hf.ensureManifest(pt); err != nil {
-						errs[i] = err
-						return
-					}
-					fetch = hf
+	stats := make([]mtcp.RestoreStats, len(paths))
+	errs := make([]error, len(paths))
+	pending := 0
+	pipeW := sim.NewWaitQueue(t.P.Node.Cluster.Eng, "restart.pipe")
+	for i, path := range paths {
+		if !store.IsManifestPath(path) {
+			continue
+		}
+		i, path := i, path
+		pending++
+		t.P.SpawnTask("restore-pipe", true, func(pt *kernel.Task) {
+			defer func() {
+				pending--
+				pipeW.WakeAll()
+			}()
+			opts := mtcp.RestoreOptions{Workers: workers, Lazy: lazy}
+			if fetchable && !s.Cfg.SerialRestore {
+				hf := &holderFetcher{sys: s, path: path, primary: from,
+					workers: workers, target: pt.P.Node}
+				if err := hf.ensureManifest(pt); err != nil {
+					errs[i] = err
+					return
 				}
-				if lazy {
-					images[i], lazies[i], stats[i], errs[i] = mtcp.RestoreLazy(pt, path,
-						mtcp.RestoreOptions{Workers: workers, Fetch: fetch},
-						t.P.Node.Cluster.Params.LazySkeletonChunks)
-				} else {
-					images[i], stats[i], errs[i] = mtcp.RestoreStreamed(pt, path,
-						mtcp.RestoreOptions{Workers: workers, Fetch: fetch})
-				}
-			})
+				opts.Fetch = hf
+			}
+			images[i], lazies[i], stats[i], errs[i] = mtcp.Restore(pt, path, opts)
+		})
+	}
+	for pending > 0 {
+		pipeW.Wait(t.T)
+	}
+	for i, path := range paths {
+		if errs[i] != nil {
+			fail("restore %s: %v", path, errs[i])
 		}
-		for pending > 0 {
-			pipeW.Wait(t.T)
+		if images[i] == nil {
+			continue
 		}
-		for i, path := range paths {
-			if errs[i] != nil {
-				fail("restore %s: %v", path, errs[i])
-			}
-			if images[i] == nil {
-				continue
-			}
-			rs := stats[i]
-			if rs.Fetch > st.Fetch {
-				st.Fetch = rs.Fetch
-			}
-			st.FetchedBytes += rs.FetchedBytes
-			st.FetchedChunks += rs.FetchedChunks
-			st.OverlapBytes += rs.OverlapBytes
-			if rs.Workers > st.Workers {
-				st.Workers = rs.Workers
-			}
-			if rs.Took > maxPipe {
-				maxPipe = rs.Took
-			}
+		rs := stats[i]
+		if rs.Fetch > st.Fetch {
+			st.Fetch = rs.Fetch
 		}
-		// Arm the post-copy tails now, before files/conns/fork: the
-		// striped prefetch overlaps everything between here and resume.
-		for i, lz := range lazies {
-			if lz == nil || len(lz.Pending) == 0 {
-				continue
-			}
-			hf := &holderFetcher{sys: s, path: paths[i], primary: from,
-				workers: workers, target: t.P.Node}
-			holders := hf.candidates()
-			if n := s.Cfg.LazyHolders; n > 0 && len(holders) > n {
-				holders = holders[:n]
-			}
-			ctrls[i] = newLazyCtrl(s, t, images[i], lz, holders)
+		st.FetchedBytes += rs.FetchedBytes
+		st.FetchedChunks += rs.FetchedChunks
+		st.OverlapBytes += rs.OverlapBytes
+		if rs.Workers > st.Workers {
+			st.Workers = rs.Workers
+		}
+		if rs.Took > maxPipe {
+			maxPipe = rs.Took
 		}
 	}
+	// Arm the post-copy tails now, before files/conns/fork: the
+	// striped prefetch overlaps everything between here and resume.
+	for i, lz := range lazies {
+		if lz == nil || len(lz.Pending) == 0 {
+			continue
+		}
+		hf := &holderFetcher{sys: s, path: paths[i], primary: from,
+			workers: workers, target: t.P.Node}
+		holders := hf.candidates()
+		if n := s.Cfg.LazyHolders; n > 0 && len(holders) > n {
+			holders = holders[:n]
+		}
+		ctrls[i] = newLazyCtrl(s, t, images[i], lz, holders)
+	}
 
-	// Load images (headers + metadata tables); streamed manifests are
+	// Load monolithic images (headers + metadata tables); manifests are
 	// already in hand.
 	type procImage struct {
 		path  string

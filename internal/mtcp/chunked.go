@@ -339,103 +339,3 @@ func writeChunked(t *kernel.Task, img *Image, opts WriteOptions) WriteResult {
 		obs.A("gen", res.Generation), obs.A("overlap_bytes", res.OverlapBytes))
 	return res
 }
-
-// loadChunked reads a manifest back into an Image, charging only the
-// metadata read (manifest plus header tables); the bulk chunk
-// streaming is charged by chargeChunkedRestore.
-func loadChunked(t *kernel.Task, path string) (*Image, error) {
-	p := t.P.Node.Cluster.Params
-	root, ok := store.RootForManifest(path)
-	if !ok {
-		return nil, ErrBadImage
-	}
-	s := store.Open(t.P.Node, store.Config{Root: root})
-	ino, err := t.P.Node.FS.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	m, err := store.DecodeManifest(ino.Data)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadImage, err)
-	}
-	img, err := Decode(m.Header)
-	if err != nil {
-		return nil, err
-	}
-	for _, ac := range m.Areas {
-		if ac.Area < 0 || ac.Area >= len(img.Areas) {
-			return nil, fmt.Errorf("%w: manifest area %d out of range", ErrBadImage, ac.Area)
-		}
-		var buf []byte
-		for _, ref := range ac.Chunks {
-			data, err := s.ReadChunkVerified(t, ref)
-			if err != nil {
-				return nil, fmt.Errorf("%w: missing or corrupt chunk %s: %v", ErrBadImage, ref.Hash, err)
-			}
-			buf = append(buf, data...)
-		}
-		img.Areas[ac.Area].Payload = buf
-	}
-	img.manifest = m
-	t.Compute(p.RestoreSetup)
-	meta := ino.Size() + 64*1024
-	for _, e := range img.Ext {
-		meta += int64(len(e))
-	}
-	t.P.Node.ReadPipeFor(path).Read(t.T, meta)
-	return img, nil
-}
-
-// chargeChunkedRestore charges the bulk of a store-backed restart:
-// streaming every referenced chunk and decompressing the compressed
-// ones.
-func chargeChunkedRestore(t *kernel.Task, img *Image, path string) {
-	chargeChunkedRestoreN(t, img, path, 1)
-}
-
-// chargeChunkedRestoreN is the parallel variant: referenced chunks are
-// partitioned across a worker pool, so decompression uses the node's
-// cores instead of one (chunk streaming shares the read pipe's
-// bandwidth either way).  It reports whether path was a manifest.
-func chargeChunkedRestoreN(t *kernel.Task, img *Image, path string, workers int) bool {
-	p := t.P.Node.Cluster.Params
-	root, ok := store.RootForManifest(path)
-	if !ok {
-		return false
-	}
-	if img.bulkCharged {
-		// The streamed restore pipeline already paid the chunk reads
-		// and decompression; only the per-area install bookkeeping
-		// remains.
-		t.Compute(time.Duration(len(img.Areas)) * p.PerAreaCost)
-		return true
-	}
-	s := store.Open(t.P.Node, store.Config{Root: root})
-	m := img.manifest // decoded by loadChunked for this same image
-	if m == nil {
-		var err error
-		if m, err = s.LoadManifest(path); err != nil {
-			return true
-		}
-	}
-	refs := m.Refs()
-	if workers <= 1 {
-		s.ChargeRead(t, refs)
-	} else {
-		// Workers claim chunk batches: each charges its batch's read
-		// bandwidth (the pipe shares it) and decompression CPU (the
-		// core scheduler shares that).
-		const batch = 16
-		n := (len(refs) + batch - 1) / batch
-		runWorkers(t, workers, n, "restore-worker", func(wt *kernel.Task, i int) {
-			lo := i * batch
-			hi := lo + batch
-			if hi > len(refs) {
-				hi = len(refs)
-			}
-			s.ChargeRead(wt, refs[lo:hi])
-		})
-	}
-	t.Compute(time.Duration(len(img.Areas)) * p.PerAreaCost)
-	return true
-}

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/model"
-	"repro/internal/store"
 )
 
 // Magic and Version identify the image format.  Version 2 added
@@ -86,17 +85,6 @@ type Image struct {
 	// connection-information table and descriptor table here.  MTCP
 	// treats them as opaque bytes (the two-layer API of §4.1).
 	Ext map[string][]byte
-
-	// manifest caches the decoded store manifest for images loaded
-	// through the chunked path, so the bulk-restore charge does not
-	// decode it a second time.  Never serialized.
-	manifest *store.Manifest
-
-	// bulkCharged marks an image whose bulk restore cost (chunk reads
-	// and decompression) was already paid by the streamed restore
-	// pipeline; the per-process restore charge then covers only the
-	// per-area install bookkeeping.  Never serialized.
-	bulkCharged bool
 }
 
 // Capture snapshots a process into an image.  The caller (the

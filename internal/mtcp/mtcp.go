@@ -170,11 +170,12 @@ func ReadImage(t *kernel.Task, path string) (*Image, error) {
 // LoadImage decodes an image, charging only the header/metadata read
 // (the restart program reads descriptor and connection tables from
 // every image before forking; the bulk memory read happens later, in
-// each restored process).  Manifest paths are read back through the
-// content-addressed store transparently.
+// each restored process).  A manifest path is restored from the local
+// store by Restore, which also pays the bulk.
 func LoadImage(t *kernel.Task, path string) (*Image, error) {
 	if store.IsManifestPath(path) {
-		return loadChunked(t, path)
+		img, _, _, err := Restore(t, path, RestoreOptions{})
+		return img, err
 	}
 	p := t.P.Node.Cluster.Params
 	ino, err := t.P.Node.FS.ReadFile(path)
@@ -198,24 +199,10 @@ func LoadImage(t *kernel.Task, path string) (*Image, error) {
 }
 
 // ChargeMemoryRestore charges the bulk of restart step 5: streaming
-// the image body from storage and decompressing it.
+// the image body from storage and decompressing it.  A manifest's bulk
+// was paid by Restore, so only per-area install bookkeeping remains.
 func ChargeMemoryRestore(t *kernel.Task, img *Image, path string) {
-	if store.IsManifestPath(path) {
-		chargeChunkedRestore(t, img, path)
-		return
-	}
-	p := t.P.Node.Cluster.Params
-	var onDisk int64
-	if ino, err := t.P.Node.FS.ReadFile(path); err == nil {
-		onDisk = ino.Size()
-	}
-	t.P.Node.ReadPipeFor(path).Read(t.T, onDisk)
-	if onDisk > 0 && onDisk < img.LogicalBytes() {
-		for _, a := range img.Areas {
-			t.Compute(p.DecompressTime(a.Bytes, a.Class()))
-		}
-	}
-	t.Compute(time.Duration(len(img.Areas)) * p.PerAreaCost)
+	ChargeMemoryRestoreN(t, img, path, 1)
 }
 
 // ShmResolver locates or re-creates the shared-memory segment backing

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/model"
+	"repro/internal/store"
 )
 
 // runWorkers is kernel.RunWorkers for work that cannot fail: the
@@ -40,29 +41,30 @@ func compressSpans(img *Image) []compressSpan {
 }
 
 // ChargeMemoryRestoreN is ChargeMemoryRestore with a parallel restore
-// pool: chunk reads and decompression are partitioned across workers
-// tasks, the symmetric treatment of the parallel write path.  The
-// node's core scheduler bounds the decompression speedup at the core
-// count.  workers <= 1 behaves exactly like ChargeMemoryRestore.
+// pool: decompression is partitioned across workers tasks, the
+// symmetric treatment of the parallel write path.  The node's core
+// scheduler bounds the speedup at the core count.  workers <= 1
+// decompresses serially.
 func ChargeMemoryRestoreN(t *kernel.Task, img *Image, path string, workers int) {
-	if workers <= 1 {
-		ChargeMemoryRestore(t, img, path)
-		return
-	}
-	if chargeChunkedRestoreN(t, img, path, workers) {
-		return
-	}
 	p := t.P.Node.Cluster.Params
-	var onDisk int64
-	if ino, err := t.P.Node.FS.ReadFile(path); err == nil {
-		onDisk = ino.Size()
-	}
-	t.P.Node.ReadPipeFor(path).Read(t.T, onDisk)
-	if onDisk > 0 && onDisk < img.LogicalBytes() {
-		spans := compressSpans(img)
-		runWorkers(t, workers, len(spans), "gunzip-worker", func(wt *kernel.Task, i int) {
-			wt.Compute(p.DecompressTime(spans[i].bytes, spans[i].class))
-		})
+	if !store.IsManifestPath(path) {
+		var onDisk int64
+		if ino, err := t.P.Node.FS.ReadFile(path); err == nil {
+			onDisk = ino.Size()
+		}
+		t.P.Node.ReadPipeFor(path).Read(t.T, onDisk)
+		if onDisk > 0 && onDisk < img.LogicalBytes() {
+			if workers <= 1 {
+				for _, a := range img.Areas {
+					t.Compute(p.DecompressTime(a.Bytes, a.Class()))
+				}
+			} else {
+				spans := compressSpans(img)
+				runWorkers(t, workers, len(spans), "gunzip-worker", func(wt *kernel.Task, i int) {
+					wt.Compute(p.DecompressTime(spans[i].bytes, spans[i].class))
+				})
+			}
+		}
 	}
 	t.Compute(time.Duration(len(img.Areas)) * p.PerAreaCost)
 }

@@ -2,10 +2,12 @@ package mtcp
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/kernel"
+	"repro/internal/model"
 	"repro/internal/store"
 )
 
@@ -43,30 +45,28 @@ func (f *copyFetcher) Fetch(t *kernel.Task, refs []store.ChunkRef, deliver func(
 // imageBytes canonicalizes an image for cross-path comparison.
 func imageBytes(img *Image) []byte { return img.Encode() }
 
-// TestRestoreStreamedMatchesLoadChunked pins the acceptance contract:
-// the streamed pipeline reconstructs a byte-identical image to the
-// non-streamed loadChunked path, at every worker count, and a local
-// (short-circuit) restore reports no fetch and no overlap.
-func TestRestoreStreamedMatchesLoadChunked(t *testing.T) {
+// TestRestoreMatchesCheckpointedImage pins the acceptance contract:
+// the restore pipeline reconstructs the checkpointed image byte for
+// byte at every worker count, and a local (short-circuit) restore
+// reports no fetch and no overlap.
+func TestRestoreMatchesCheckpointedImage(t *testing.T) {
 	eng, c := testCluster(t)
 	run(t, eng, c, func(task *kernel.Task) {
 		img := buildPipelineImage(task)
 		s := store.Open(task.P.Node, store.Config{Root: "/ckpt/rs/store", Compress: true})
 		res := WriteImage(task, img, WriteOptions{Store: s, Workers: 4})
-
-		want, err := LoadImage(task, res.Path)
-		if err != nil {
-			t.Fatalf("loadChunked: %v", err)
-		}
-		ref := imageBytes(want)
+		ref := imageBytes(img)
 
 		for _, workers := range []int{1, 2, 8} {
-			got, rs, err := RestoreStreamed(task, res.Path, RestoreOptions{Workers: workers})
+			got, lz, rs, err := Restore(task, res.Path, RestoreOptions{Workers: workers})
 			if err != nil {
-				t.Fatalf("streamed restore (%d workers): %v", workers, err)
+				t.Fatalf("restore (%d workers): %v", workers, err)
+			}
+			if lz != nil {
+				t.Errorf("%d workers: full restore returned lazy state", workers)
 			}
 			if !bytes.Equal(imageBytes(got), ref) {
-				t.Errorf("%d workers: streamed image differs from loadChunked", workers)
+				t.Errorf("%d workers: restored image differs from the checkpointed one", workers)
 			}
 			if rs.Fetch != 0 || rs.FetchedChunks != 0 || rs.OverlapBytes != 0 {
 				t.Errorf("%d workers: local restore reported fetch stats %+v", workers, rs)
@@ -89,7 +89,7 @@ func TestRestoreStreamedParallelDecompress(t *testing.T) {
 		res := WriteImage(task, img, WriteOptions{Store: s, Workers: 4})
 		took := map[int]time.Duration{}
 		for _, workers := range []int{1, 4, 8} {
-			_, rs, err := RestoreStreamed(task, res.Path, RestoreOptions{Workers: workers})
+			_, _, rs, err := Restore(task, res.Path, RestoreOptions{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,7 +129,7 @@ func TestRestoreStreamedOverlapsFetch(t *testing.T) {
 		task.P.Node.FS.WriteFile(dstPath, ino.Data, ino.LogicalSize)
 
 		fetcher := &copyFetcher{src: src, dst: dst, perChunk: 2 * time.Millisecond}
-		got, rs, err := RestoreStreamed(task, dstPath, RestoreOptions{Workers: 4, Fetch: fetcher})
+		got, _, rs, err := Restore(task, dstPath, RestoreOptions{Workers: 4, Fetch: fetcher})
 		if err != nil {
 			t.Fatalf("remote streamed restore: %v", err)
 		}
@@ -165,7 +165,7 @@ func TestRestoreStreamedFetchFailureAborts(t *testing.T) {
 		task.P.Node.FS.WriteFile(dstPath, ino.Data, ino.LogicalSize)
 
 		fetcher := &copyFetcher{src: src, dst: dst, perChunk: time.Millisecond, failAfter: 3}
-		got, _, err := RestoreStreamed(task, dstPath, RestoreOptions{Workers: 4, Fetch: fetcher})
+		got, _, _, err := Restore(task, dstPath, RestoreOptions{Workers: 4, Fetch: fetcher})
 		if err == nil {
 			t.Fatal("mid-stream fetch failure restored an image")
 		}
@@ -174,8 +174,103 @@ func TestRestoreStreamedFetchFailureAborts(t *testing.T) {
 		}
 
 		// And with no fetcher at all, missing chunks are a typed error.
-		if _, _, err := RestoreStreamed(task, dstPath, RestoreOptions{Workers: 2}); err == nil {
+		if _, _, _, err := Restore(task, dstPath, RestoreOptions{Workers: 2}); err == nil {
 			t.Fatal("missing chunks with no fetch source restored an image")
+		}
+	})
+}
+
+// TestRestoreLazySkeletonPartition pins the lazy install set: the
+// skeleton is the LazySkeletonChunks hottest private chunks plus every
+// shared-area chunk, skeleton and pending cover each manifest
+// coordinate exactly once with the pending queue hottest-first, and
+// only skeleton bytes are installed — each at its original offset.
+func TestRestoreLazySkeletonPartition(t *testing.T) {
+	eng, c := testCluster(t)
+	run(t, eng, c, func(task *kernel.Task) {
+		rng := rand.New(rand.NewSource(1))
+		heap := task.MapAnon("[heap]", 12*model.MB, model.ClassData)
+		heap.Payload = make([]byte, 6*model.MB+777)
+		rng.Read(heap.Payload)
+		heap.TouchFraction(0.3, 5)
+		heap.Touch(9*model.MB, 1)
+		seg := task.ShmCreate("/dev/shm/lazy", 2*model.MB, model.ClassData)
+		seg.Payload = make([]byte, 2*model.MB)
+		rng.Read(seg.Payload)
+		task.MapLib("/lib/libc.so", 3*model.MB)
+		img := Capture(task.P, 42)
+		s := store.Open(task.P.Node, store.Config{Root: "/ckpt/lz/store", Compress: true})
+		res := WriteImage(task, img, WriteOptions{Store: s, Workers: 2})
+		m, err := s.LoadManifest(res.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		got, lz, _, err := Restore(task, res.Path, RestoreOptions{Workers: 2, Lazy: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lz == nil {
+			t.Fatal("lazy restore returned no lazy state")
+		}
+
+		// Expected split, straight from the hot order.
+		skel := c.Params.LazySkeletonChunks
+		inSkeleton := map[[2]int]bool{}
+		var wantPending [][2]int
+		taken, shm := 0, 0
+		for _, hc := range m.HotOrder() {
+			key := [2]int{m.Areas[hc.Area].Area, hc.Idx}
+			if img.Areas[key[0]].ShmBacking != "" {
+				inSkeleton[key] = true
+				shm++
+			} else if taken < skel {
+				inSkeleton[key] = true
+				taken++
+			} else {
+				wantPending = append(wantPending, key)
+			}
+		}
+		if shm != 2 || taken != skel {
+			t.Fatalf("fixture has %d shm and %d hot private chunks, want 2 and %d", shm, taken, skel)
+		}
+
+		seen := map[[2]int]int{}
+		for i, pc := range lz.Pending {
+			key := [2]int{pc.Area, pc.Idx}
+			seen[key]++
+			if inSkeleton[key] {
+				t.Errorf("skeleton chunk %v is also pending", key)
+			}
+			if i >= len(wantPending) || wantPending[i] != key {
+				t.Errorf("pending[%d] = %v, want the hot order's %v", i, key, wantPending[min(i, len(wantPending)-1)])
+			}
+		}
+		for key := range inSkeleton {
+			seen[key]++
+		}
+		if len(seen) != m.NumChunks() {
+			t.Errorf("skeleton+pending cover %d coordinates, manifest has %d", len(seen), m.NumChunks())
+		}
+		for key, n := range seen {
+			if n != 1 {
+				t.Errorf("coordinate %v covered %d times", key, n)
+			}
+		}
+
+		// Skeleton bytes land at their offsets; pending spans stay empty.
+		for ai, a := range img.Areas {
+			for off := int64(0); off < int64(len(a.Payload)); off += kernel.CkptChunkBytes {
+				end := min(off+kernel.CkptChunkBytes, int64(len(a.Payload)))
+				key := [2]int{ai, int(off / kernel.CkptChunkBytes)}
+				want := a.Payload[off:end]
+				if !inSkeleton[key] {
+					want = make([]byte, end-off)
+				}
+				if !bytes.Equal(got.Areas[ai].Payload[off:end], want) {
+					t.Errorf("area %s chunk %d: installed bytes wrong (skeleton=%v)", a.Name, key[1], inSkeleton[key])
+				}
+			}
 		}
 	})
 }
