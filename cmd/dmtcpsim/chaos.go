@@ -1,8 +1,13 @@
 package main
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"strconv"
+	"strings"
 	"time"
 
 	dmtcpsim "repro"
@@ -38,35 +43,15 @@ func chaosScenario(o scenOpts) {
 		}
 		s.Sys.Replica.WaitIdle(t)
 
-		// Fault 1: cut the leader's host off mid-round.  Its node stays
-		// alive, so only the standbys' journal-silence watchdog can
-		// detect the loss and elect on the majority side.
+		// Fault 1: cut the leader's host off mid-round.
 		co := s.Sys.Coord
 		preRounds := len(co.Rounds())
 		fmt.Printf("\n[1/4] partitioning leader %s away mid-round ...\n", co.Node.Hostname)
-		var cerr error
-		done := false
-		t.P.SpawnTask("req", false, func(rt *dmtcpsim.Task) {
-			_, cerr = s.Checkpoint(rt)
-			done = true
-		})
-		for !done && co.Mach.State().Round == nil {
-			t.Compute(time.Millisecond)
-		}
-		cutAt := t.Now()
-		id := s.C.IsolateHost(co.Node.Hostname)
-		for s.Sys.Coord == co && !done {
-			t.Compute(5 * time.Millisecond)
-		}
+		req := checkpointAsync(s, t)
+		took := isolateLeader(s, t, req)
 		fmt.Printf("      standby on %s promoted itself in %v (journal silence; the leader is alive but unreachable)\n",
-			s.Sys.Coord.Node.Hostname, t.Now().Sub(cutAt).Round(time.Millisecond))
-		s.C.HealFault(id)
-		for !done {
-			t.Compute(10 * time.Millisecond)
-		}
-		if cerr != nil {
-			panic(cerr)
-		}
+			s.Sys.Coord.Node.Hostname, took.Round(time.Millisecond))
+		req.wait(t)
 		fmt.Printf("      round resumed and completed under the new leader; rounds lost: %d\n",
 			preRounds+1-len(s.Sys.Coord.Rounds()))
 		lead := s.Sys.Coord
@@ -80,7 +65,7 @@ func chaosScenario(o scenOpts) {
 		// Fault 2: every link drops and delays frames; TCP-style
 		// retransmission backoff delays the round but loses nothing.
 		fmt.Println("[2/4] making every link lossy (3% drop, +500us latency) and checkpointing through it ...")
-		id = s.C.InjectFault(dmtcpsim.FaultRule{
+		id := s.C.InjectFault(dmtcpsim.FaultRule{
 			Drop: 0.03, ExtraLatency: 500 * time.Microsecond, JitterPct: 0.3})
 		round, err := s.Checkpoint(t)
 		s.C.HealFault(id)
@@ -94,21 +79,7 @@ func chaosScenario(o scenOpts) {
 		// Fault 3: flip one bit in a replica holder's chunk store.  No
 		// reader ever touches it — the background scrubber must find it.
 		co = s.Sys.Coord
-		st := co.Mach.State()
-		victim := ""
-		for _, name := range sortedKeys(st.Placement) {
-			pi := st.Placement[name]
-			for _, h := range pi.HolderHosts() {
-				n := s.C.LookupHost(h)
-				if n == nil || n.Down || h == "node00" || h == co.Node.Hostname || h == pi.Host {
-					continue
-				}
-				victim = h
-			}
-		}
-		if victim == "" {
-			panic("no expendable replica holder found")
-		}
+		victim := expendableHolder(s)
 		hstore := store.Open(s.C.LookupHost(victim), store.Config{Root: s.Sys.StoreRoot()})
 		hash, ok := hstore.CorruptRandomChunk(rand.New(rand.NewSource(1)))
 		if !ok {
@@ -152,4 +123,180 @@ func chaosScenario(o scenOpts) {
 		}
 		fmt.Println("\nclosing checkpoint round clean: the schedule survived with zero rounds lost")
 	})
+}
+
+// partitionHeal runs the ticker workload twice under one checkpoint
+// round: a control run with no faults, and a run whose leader is
+// partitioned away mid-round.  A standby on the majority side
+// promotes itself and resumes the round, and the heal converges the
+// deposed leader by truncate-and-replay.  The data plane must never
+// notice: the two outputs, checksum line included, are byte-identical.
+func partitionHeal(o scenOpts) {
+	fmt.Println("control run: 300 ticks, one checkpoint round, no faults")
+	control := tickerRun(o, false)
+	fmt.Printf("  %s\n", lastLine(control))
+	fmt.Println("chaos run: same schedule with the leader partitioned mid-round")
+	chaos := tickerRun(o, true)
+	fmt.Printf("  %s\n", lastLine(chaos))
+	if chaos == control {
+		fmt.Println("outputs are byte-identical: zero ticks lost, zero replayed, checksums match")
+	} else {
+		fmt.Println("OUTPUT DIVERGED: the partition perturbed the data plane")
+	}
+}
+
+func lastLine(out string) string {
+	out = strings.TrimSuffix(out, "\n")
+	return out[strings.LastIndexByte(out, '\n')+1:]
+}
+
+// tickerRun drives one partition-heal run: the ticker on node04, one
+// cluster-wide checkpoint, and — when cut is true — the leader
+// isolated mid-round.  It returns the ticker's complete output.
+func tickerRun(o scenOpts, cut bool) string {
+	s := dmtcpsim.New(o.options(6,
+		dmtcpsim.Config{CoordNode: 1, Compress: true, Store: true,
+			StoreKeep: 3, ReplicaFactor: 2, CoordStandbys: 2}))
+	s.Register("ticker", ticker{})
+	const out = "/san/out/ticker"
+	var final string
+	s.Run(func(t *dmtcpsim.Task) {
+		if _, err := s.Launch(4, "ticker", "300", out); err != nil {
+			panic(err)
+		}
+		t.Compute(50 * time.Millisecond)
+		req := checkpointAsync(s, t)
+		if cut {
+			co := s.Sys.Coord
+			took := isolateLeader(s, t, req)
+			fmt.Printf("  leader %s cut mid-round; standby %s promoted itself in %v; partition healed\n",
+				co.Node.Hostname, s.Sys.Coord.Node.Hostname, took.Round(time.Millisecond))
+		}
+		req.wait(t)
+		for {
+			if ino, err := s.C.Node(0).FS.ReadFile(out); err == nil && bytes.Contains(ino.Data, []byte("done")) {
+				final = string(ino.Data)
+				return
+			}
+			t.Compute(50 * time.Millisecond)
+		}
+	})
+	return final
+}
+
+// ticker appends one line per iteration to a shared file; its control
+// state (the next iteration) lives in process memory, so any replayed
+// or lost work after a checkpoint shows up as duplicate or missing
+// ticks.  The closing line is an FNV-64a checksum of the whole log.
+type ticker struct{}
+
+func (ticker) Main(t *dmtcpsim.Task, args []string) {
+	n, _ := strconv.Atoi(args[0])
+	t.MapAnon("[heap]", 32<<20, dmtcpsim.MemClass{Entropy: 0.45, ZeroFrac: 0.2})
+	tick(t, args[1], 0, n)
+}
+
+func (ticker) Restore(t *dmtcpsim.Task, state []byte) {
+	next := int(binary.BigEndian.Uint64(state))
+	n := int(binary.BigEndian.Uint64(state[8:]))
+	tick(t, string(state[16:]), next, n)
+}
+
+func tick(t *dmtcpsim.Task, out string, from, n int) {
+	fs := t.P.Node.FS
+	appendLine := func(line string) {
+		var prev []byte
+		if ino, err := fs.ReadFile(out); err == nil {
+			prev = ino.Data
+		}
+		fs.WriteFile(out, append(append([]byte(nil), prev...), line+"\n"...), 0)
+	}
+	for i := from; i < n; i++ {
+		t.Compute(5 * time.Millisecond)
+		// Tick append and state save are one critical section: a
+		// checkpoint lands between iterations, never between the
+		// append and the counter update.
+		t.BeginCritical()
+		appendLine(fmt.Sprintf("tick %d", i))
+		state := make([]byte, 16, 16+len(out))
+		binary.BigEndian.PutUint64(state, uint64(i+1))
+		binary.BigEndian.PutUint64(state[8:], uint64(n))
+		t.P.SaveState(append(state, out...))
+		t.EndCritical()
+	}
+	h := fnv.New64a()
+	if ino, err := fs.ReadFile(out); err == nil {
+		h.Write(ino.Data)
+	}
+	appendLine(fmt.Sprintf("done %016x", h.Sum64()))
+}
+
+// pendingRound is a checkpoint round requested from a helper task, so
+// the scenario task can inject a fault while the round is in flight.
+type pendingRound struct {
+	round *dmtcpsim.CkptRound
+	err   error
+	done  bool
+}
+
+func checkpointAsync(s *dmtcpsim.Sim, t *dmtcpsim.Task) *pendingRound {
+	req := &pendingRound{}
+	t.P.SpawnTask("req", false, func(rt *dmtcpsim.Task) {
+		req.round, req.err = s.Checkpoint(rt)
+		req.done = true
+	})
+	return req
+}
+
+// wait polls until the round completes and panics if it failed.
+func (req *pendingRound) wait(t *dmtcpsim.Task) *dmtcpsim.CkptRound {
+	for !req.done {
+		t.Compute(10 * time.Millisecond)
+	}
+	if req.err != nil {
+		panic(req.err)
+	}
+	return req.round
+}
+
+// isolateLeader partitions the leader's host away once req's round is
+// in flight.  The node stays alive, so only the standbys'
+// journal-silence watchdog can detect the loss and elect on the
+// majority side.  It heals the partition after the promotion and
+// returns how long the promotion took.
+func isolateLeader(s *dmtcpsim.Sim, t *dmtcpsim.Task, req *pendingRound) time.Duration {
+	co := s.Sys.Coord
+	for !req.done && co.Mach.State().Round == nil {
+		t.Compute(time.Millisecond)
+	}
+	cutAt := t.Now()
+	id := s.C.IsolateHost(co.Node.Hostname)
+	for s.Sys.Coord == co && !req.done {
+		t.Compute(5 * time.Millisecond)
+	}
+	took := t.Now().Sub(cutAt)
+	s.C.HealFault(id)
+	return took
+}
+
+// expendableHolder picks a live replica holder that is neither the
+// scenario task's node00, the leader's host nor the image's own host.
+func expendableHolder(s *dmtcpsim.Sim) string {
+	co := s.Sys.Coord
+	st := co.Mach.State()
+	victim := ""
+	for _, name := range sortedKeys(st.Placement) {
+		pi := st.Placement[name]
+		for _, h := range pi.HolderHosts() {
+			n := s.C.LookupHost(h)
+			if n == nil || n.Down || h == "node00" || h == co.Node.Hostname || h == pi.Host {
+				continue
+			}
+			victim = h
+		}
+	}
+	if victim == "" {
+		panic("no expendable replica holder found")
+	}
+	return victim
 }

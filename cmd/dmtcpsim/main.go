@@ -1,19 +1,22 @@
-// Command dmtcpsim runs interactive demonstration scenarios of the
-// DMTCP reproduction: launching workloads under checkpoint control,
-// checkpointing them, killing everything, and restarting from images.
+// Command dmtcpsim is the demo catalogue of the DMTCP reproduction:
+// each scenario is one runnable session from the paper or its
+// extensions — desktop applications, MPI jobs, cluster-to-laptop
+// migration, deadlock revert, and the store, failover, restore and
+// chaos planes — launched under checkpoint control, checkpointed,
+// killed and restarted from images.
 //
 // Usage:
 //
 //	dmtcpsim -scenario <name> [-nodes n] [-trace out.json] [-report]
 //
-// Pass an unknown scenario name to print the catalog.  -trace writes
+// Pass an unknown scenario name to print the catalogue.  -trace writes
 // a Chrome trace-event JSON of the whole run (virtual time; load it
 // at https://ui.perfetto.dev), and -report prints the span/counter
-// summary after the scenario output.
+// summary after the scenario output.  Every scenario's default output
+// is pinned by an Example in example_test.go.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -23,7 +26,6 @@ import (
 	"time"
 
 	dmtcpsim "repro"
-	"repro/internal/apps"
 	"repro/internal/mpi"
 )
 
@@ -41,8 +43,8 @@ func (o scenOpts) options(nodes int, cfg dmtcpsim.Config) dmtcpsim.Options {
 }
 
 // scenario is one registry entry; the -scenario flag help, the
-// catalog listing, and the dispatch all derive from the registry, so
-// adding a scenario is a one-line change.
+// catalogue listing, the dispatch and the pinned Examples all derive
+// from the registry, so a scenario is one entry plus one Example.
 type scenario struct {
 	name string
 	desc string
@@ -50,10 +52,10 @@ type scenario struct {
 }
 
 var scenarios = []scenario{
-	{"quickstart", "checkpoint and restart a desktop application (matlab)", quickstart},
+	{"quickstart", "checkpoint a user-written program mid-flight, kill it, restart it", quickstart},
 	{"mpi", "checkpoint an OpenMPI NAS-LU run across the cluster and restart it", mpiScenario},
-	{"migrate", "checkpoint a cluster job and restart every rank on one node", migrate},
-	{"vnc", "checkpoint a headless VNC session (server + twm + xterm)", vnc},
+	{"migrate", "ParGeant4 on the cluster, restarted on one laptop node", migrate},
+	{"desktop", "interval checkpoints of a workspace: matlab, tightvnc+twm, vim/cscope", desktop},
 	{"store", "incremental checkpoint generations through the chunk store", storeScenario},
 	{"failover", "node failure and recovery from replicated checkpoint storage", failoverScenario},
 	{"coord-failover", "coordinator node failure and journaled standby takeover", coordFailoverScenario},
@@ -63,6 +65,8 @@ var scenarios = []scenario{
 	{"lazy-restore", "post-copy restart: skeleton resume, demand faults, striped prefetch", lazyRestoreScenario},
 	{"straggler", "slow loaded node: straggler scoring and the worker-hint response", stragglerScenario},
 	{"chaos", "chaos schedule: leader partition, lossy links, bit rot, node death", chaosScenario},
+	{"partition-heal", "leader partitioned mid-round: output byte-identical to a fault-free run", partitionHeal},
+	{"deadlock-revert", "a watchdog reverts a deadlocked job to its last checkpoint in safe mode", deadlockRevert},
 }
 
 func scenarioNames() string {
@@ -73,44 +77,37 @@ func scenarioNames() string {
 	return strings.Join(names, "|")
 }
 
+// lookup returns the registry entry called name, or nil.
+func lookup(name string) *scenario {
+	for i := range scenarios {
+		if scenarios[i].name == name {
+			return &scenarios[i]
+		}
+	}
+	return nil
+}
+
 func main() {
 	var (
 		name   = flag.String("scenario", "quickstart", "one of "+scenarioNames())
 		nodes  = flag.Int("nodes", 4, "cluster size")
 		trace  = flag.String("trace", "", "write a Chrome trace-event JSON file (open in Perfetto)")
 		report = flag.Bool("report", false, "print the span/counter report after the scenario")
-		cp     = flag.String("cp", "", "write the critical-path analysis as JSON (CI span-partition checks)")
 	)
 	flag.Parse()
-	var run func(scenOpts)
-	for _, s := range scenarios {
-		if s.name == *name {
-			run = s.run
-			break
-		}
-	}
-	if run == nil {
+	sc := lookup(*name)
+	if sc == nil {
 		fmt.Fprintf(os.Stderr, "unknown scenario %q; available:\n", *name)
 		for _, s := range scenarios {
-			fmt.Fprintf(os.Stderr, "  %-15s %s\n", s.name, s.desc)
+			fmt.Fprintf(os.Stderr, "  %-16s %s\n", s.name, s.desc)
 		}
 		os.Exit(2)
 	}
 	o := scenOpts{nodes: *nodes}
-	if *trace != "" || *report || *cp != "" {
+	if *trace != "" || *report {
 		o.tracer = dmtcpsim.NewTracer()
 	}
-	run(o)
-	if *cp != "" {
-		data, err := json.Marshal(dmtcpsim.AnalyzeTrace(o.tracer))
-		if err == nil {
-			err = os.WriteFile(*cp, data, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "write critical path: %v\n", err)
-			os.Exit(1)
-		}
-	}
+	sc.run(o)
 	if *trace != "" {
 		// Draw the critical path as flow arrows before serializing.
 		dmtcpsim.AnnotateFlows(o.tracer)
@@ -125,31 +122,6 @@ func main() {
 		dmtcpsim.AttachAnalyzer(o.tracer)
 		fmt.Print(o.tracer.Report())
 	}
-}
-
-func quickstart(o scenOpts) {
-	s := dmtcpsim.New(o.options(o.nodes, dmtcpsim.Config{Compress: true}))
-	s.Run(func(t *dmtcpsim.Task) {
-		fmt.Println("launching matlab under dmtcp_checkpoint ...")
-		if _, err := s.Launch(0, apps.ProgName("matlab")); err != nil {
-			panic(err)
-		}
-		t.Compute(500 * time.Millisecond)
-		round, err := s.Checkpoint(t)
-		if err != nil {
-			panic(err)
-		}
-		fmt.Printf("checkpointed %d process(es) in %v (%d MB compressed)\n",
-			round.NumProcs, round.Stages.Total.Round(time.Millisecond), round.Bytes>>20)
-		fmt.Printf("restart script:\n%s", dmtcpsim.RestartScript(round))
-		s.KillAll()
-		stats, err := s.Restart(t, round, nil)
-		if err != nil {
-			panic(err)
-		}
-		fmt.Printf("restarted in %v (memory restore %v)\n",
-			stats.Total.Round(time.Millisecond), stats.Memory.Round(time.Millisecond))
-	})
 }
 
 func mpiScenario(o scenOpts) {
@@ -182,40 +154,6 @@ func mpiScenario(o scenOpts) {
 			fmt.Printf("%s\n", ino.Data)
 		} else {
 			fmt.Println("benchmark did not finish in time")
-		}
-	})
-}
-
-func migrate(o scenOpts) {
-	nodes := o.nodes
-	s := dmtcpsim.New(o.options(nodes,
-		dmtcpsim.Config{Compress: true, CkptDir: "/san/ckpt"}))
-	s.Run(func(t *dmtcpsim.Task) {
-		np := nodes
-		fmt.Printf("running a %d-rank job across the cluster ...\n", np)
-		if _, err := s.Launch(0, "orterun", strconv.Itoa(np), "1", "0",
-			strconv.Itoa(mpi.BasePort), "nas-ep", "10"); err != nil {
-			panic(err)
-		}
-		t.Compute(400 * time.Millisecond)
-		round, err := s.Checkpoint(t)
-		if err != nil {
-			panic(err)
-		}
-		s.KillAll()
-		laptop := dmtcpsim.NodeID(nodes - 1)
-		place := dmtcpsim.Placement{}
-		for _, img := range round.Images {
-			place[img.Host] = laptop
-		}
-		fmt.Printf("restarting all %d processes on node%02d (the laptop) ...\n",
-			len(round.Images), laptop)
-		if _, err := s.Restart(t, round, place); err != nil {
-			panic(err)
-		}
-		t.Compute(100 * time.Millisecond)
-		for _, p := range s.Sys.ManagedProcesses() {
-			fmt.Printf("  %-12s now on %s\n", p.ProgName, p.Node.Hostname)
 		}
 	})
 }
@@ -389,15 +327,9 @@ func zeroLossScenario(o scenOpts) {
 		co := s.Sys.Coord
 		preRounds := len(co.Rounds())
 		fmt.Println("requesting a checkpoint; killing the coordinator once the drain barrier has committed ...")
-		var round *dmtcpsim.CkptRound
-		var cerr error
-		done := false
-		t.P.SpawnTask("req", false, func(rt *dmtcpsim.Task) {
-			round, cerr = s.Checkpoint(rt)
-			done = true
-		})
+		req := checkpointAsync(s, t)
 		killTag := int64(-1)
-		for !done {
+		for !req.done {
 			if r := co.Mach.State().Round; r != nil && r.Released["drained"] {
 				killTag = r.Tag
 				break
@@ -411,12 +343,7 @@ func zeroLossScenario(o scenOpts) {
 		}
 		fmt.Printf("standby on %s took over in %v with round tag %d mid-flight\n",
 			s.Sys.Coord.Node.Hostname, t.Now().Sub(killAt).Round(time.Millisecond), killTag)
-		for !done {
-			t.Compute(10 * time.Millisecond)
-		}
-		if cerr != nil {
-			panic(cerr)
-		}
+		round := req.wait(t)
 		lost := preRounds + 1 - len(s.Sys.Coord.Rounds())
 		fmt.Printf("round resumed and completed under the standby: %d process(es), write %v\n",
 			round.NumProcs, round.Stages.Write.Round(time.Millisecond))
@@ -427,21 +354,7 @@ func zeroLossScenario(o scenOpts) {
 		// surviving holders until redundancy is back.
 		s.Sys.Replica.WaitIdle(t)
 		co = s.Sys.Coord
-		st := co.Mach.State()
-		victim := ""
-		for _, name := range sortedKeys(st.Placement) {
-			pi := st.Placement[name]
-			for _, h := range pi.HolderHosts() {
-				n := s.C.LookupHost(h)
-				if n == nil || n.Down || h == "node00" || h == co.Node.Hostname || h == pi.Host {
-					continue
-				}
-				victim = h
-			}
-		}
-		if victim == "" {
-			panic("no expendable replica holder found")
-		}
+		victim := expendableHolder(s)
 		fmt.Printf("killing replica holder %s — background re-fan-out restores redundancy ...\n", victim)
 		before := s.Sys.Replica.Stats.RepairPushes
 		s.KillNode(s.C.LookupHost(victim).ID)
@@ -670,26 +583,4 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-func vnc(o scenOpts) {
-	s := dmtcpsim.New(o.options(1, dmtcpsim.Config{Compress: true}))
-	s.Run(func(t *dmtcpsim.Task) {
-		fmt.Println("checkpointing a headless VNC session (server + twm + xterm) ...")
-		if _, err := s.Launch(0, apps.ProgName("tightvnc+twm")); err != nil {
-			panic(err)
-		}
-		t.Compute(500 * time.Millisecond)
-		round, err := s.Checkpoint(t)
-		if err != nil {
-			panic(err)
-		}
-		fmt.Printf("checkpointed %d processes in %v (%d MB)\n",
-			round.NumProcs, round.Stages.Total.Round(time.Millisecond), round.Bytes>>20)
-		s.KillAll()
-		if _, err := s.Restart(t, round, nil); err != nil {
-			panic(err)
-		}
-		fmt.Println("session restored; clients may reconnect")
-	})
 }

@@ -16,8 +16,11 @@
 //	sim.Restart(task, round, place)   // dmtcp_restart script
 //
 // Custom applications implement Program (and Resumable to survive
-// restarts); see examples/ for complete scenarios, including the
-// paper's cluster-to-laptop migration and deadlock-revert use cases.
+// restarts).  The scenario catalogue in cmd/dmtcpsim holds complete
+// sessions written against this API, including the paper's
+// cluster-to-laptop migration and deadlock-revert use cases; run
+// `go run ./cmd/dmtcpsim -scenario <name>`, and see
+// cmd/dmtcpsim/example_test.go for each scenario's pinned output.
 package dmtcpsim
 
 import (

@@ -545,7 +545,7 @@ func (ev Event) Encode() []byte {
 		e.I64(int64(ev.Sync))
 		e.Bool(ev.Image != nil)
 		if ev.Image != nil {
-			encodeImage(&e, ev.Image)
+			EncodeImage(&e, ev.Image)
 		}
 	case EvRoundGC:
 		e.U32(uint32(len(ev.Idxs)))
@@ -573,7 +573,7 @@ func (ev Event) Encode() []byte {
 	case EvRestartBegin:
 	case EvRestartEnd:
 		e.Int(ev.Expect)
-		encodeRestart(&e, ev.Restart)
+		EncodeRestart(&e, ev.Restart)
 	case EvRestartFail:
 		e.Str(ev.Msg)
 	case EvTakeover:
@@ -629,7 +629,7 @@ func DecodeEvent(b []byte) (Event, error) {
 		ev.Stage = time.Duration(d.I64())
 		ev.Sync = time.Duration(d.I64())
 		if d.Bool() {
-			img := decodeImage(d)
+			img := DecodeImage(d)
 			ev.Image = &img
 		}
 	case EvRoundGC:
@@ -658,7 +658,7 @@ func DecodeEvent(b []byte) (Event, error) {
 	case EvRestartBegin:
 	case EvRestartEnd:
 		ev.Expect = d.Int()
-		ev.Restart = decodeRestart(d)
+		ev.Restart = DecodeRestart(d)
 	case EvRestartFail:
 		ev.Msg = d.Str()
 	case EvTakeover:

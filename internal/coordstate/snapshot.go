@@ -95,12 +95,12 @@ func EncodeState(st *State) ([]byte, error) {
 	e.Int(st.RestartExpect)
 	e.U32(uint32(len(st.RestartAgg)))
 	for _, r := range st.RestartAgg {
-		encodeRestart(&e, r)
+		EncodeRestart(&e, r)
 	}
 	e.Str(st.RestartErr)
 	e.Bool(st.RestartStats != nil)
 	if st.RestartStats != nil {
-		encodeRestart(&e, *st.RestartStats)
+		EncodeRestart(&e, *st.RestartStats)
 	}
 	hosts := st.HealthHosts()
 	e.U32(uint32(len(hosts)))
@@ -172,11 +172,11 @@ func DecodeState(b []byte) (*State, error) {
 	}
 	st.RestartExpect = d.Int()
 	for i, n := 0, int(d.U32()); i < n && d.Err == nil; i++ {
-		st.RestartAgg = append(st.RestartAgg, decodeRestart(d))
+		st.RestartAgg = append(st.RestartAgg, DecodeRestart(d))
 	}
 	st.RestartErr = d.Str()
 	if d.Bool() {
-		rs := decodeRestart(d)
+		rs := DecodeRestart(d)
 		st.RestartStats = &rs
 	}
 	for i, n := 0, int(d.U32()); i < n && d.Err == nil; i++ {
@@ -224,7 +224,7 @@ func encodeRound(e *bin.Encoder, r *CkptRound) {
 	e.I64(int64(r.SyncCost))
 	e.U32(uint32(len(r.Images)))
 	for i := range r.Images {
-		encodeImage(e, &r.Images[i])
+		EncodeImage(e, &r.Images[i])
 	}
 	e.Bool(r.Compress)
 	e.Bool(r.Forked)
@@ -273,7 +273,7 @@ func decodeRound(d *bin.Decoder) *CkptRound {
 	r.RawBytes = d.I64()
 	r.SyncCost = time.Duration(d.I64())
 	for i, n := 0, int(d.U32()); i < n && d.Err == nil; i++ {
-		r.Images = append(r.Images, decodeImage(d))
+		r.Images = append(r.Images, DecodeImage(d))
 	}
 	r.Compress = d.Bool()
 	r.Forked = d.Bool()
@@ -301,7 +301,9 @@ func decodeRound(d *bin.Decoder) *CkptRound {
 	return r
 }
 
-func encodeImage(e *bin.Encoder, img *ImageInfo) {
+// EncodeImage writes one image record.  The same codec serves the
+// journal, snapshots and the manager's checkpointed-barrier frame.
+func EncodeImage(e *bin.Encoder, img *ImageInfo) {
 	e.Str(img.Host)
 	e.Str(img.Path)
 	e.Str(img.Prog)
@@ -316,7 +318,8 @@ func encodeImage(e *bin.Encoder, img *ImageInfo) {
 	e.I64(img.Overlap)
 }
 
-func decodeImage(d *bin.Decoder) ImageInfo {
+// DecodeImage reads an EncodeImage record.
+func DecodeImage(d *bin.Decoder) ImageInfo {
 	var img ImageInfo
 	img.Host = d.Str()
 	img.Path = d.Str()
@@ -355,7 +358,10 @@ func decodeGC(d *bin.Decoder) store.GCStats {
 	return gc
 }
 
-func encodeRestart(e *bin.Encoder, r RestartStages) {
+// EncodeRestart writes one restart-stage report.  The same codec
+// serves the journal, snapshots and the restart process's RestartEnd
+// frame.
+func EncodeRestart(e *bin.Encoder, r RestartStages) {
 	e.I64(int64(r.Files))
 	e.I64(int64(r.Conns))
 	e.I64(int64(r.Memory))
@@ -373,7 +379,8 @@ func encodeRestart(e *bin.Encoder, r RestartStages) {
 	e.Int(r.DemandFaults)
 }
 
-func decodeRestart(d *bin.Decoder) RestartStages {
+// DecodeRestart reads an EncodeRestart report.
+func DecodeRestart(d *bin.Decoder) RestartStages {
 	var r RestartStages
 	r.Files = time.Duration(d.I64())
 	r.Conns = time.Duration(d.I64())

@@ -673,22 +673,9 @@ func (co *Coordinator) onBarrier(t *kernel.Task, cid int64, body []byte) {
 	ev.RoundTag = d.I64()
 	ev.Stage = time.Duration(d.I64())
 	if ev.Barrier == coordstate.BarrierCheckpointed {
-		img := &ImageInfo{
-			Host:    d.Str(),
-			Path:    d.Str(),
-			Prog:    d.Str(),
-			VirtPid: kernel.Pid(d.I64()),
-			Bytes:   d.I64(),
-			Raw:     d.I64(),
-		}
 		ev.Sync = time.Duration(d.I64())
-		img.Generation = d.I64()
-		img.Chunks = d.Int()
-		img.NewChunks = d.Int()
-		img.Dedup = d.I64()
-		img.Workers = d.Int()
-		img.Overlap = d.I64()
-		ev.Image = img
+		img := coordstate.DecodeImage(d)
+		ev.Image = &img
 	}
 	co.apply(t, ev)
 }
@@ -920,25 +907,7 @@ func (co *Coordinator) onRestartEnd(t *kernel.Task, body []byte) {
 	d := &bin.Decoder{B: body}
 	ev := coordstate.Event{Kind: coordstate.EvRestartEnd, Now: t.Now()}
 	ev.Expect = d.Int()
-	ev.Restart = RestartStages{
-		Files:  time.Duration(d.I64()),
-		Conns:  time.Duration(d.I64()),
-		Memory: time.Duration(d.I64()),
-		Refill: time.Duration(d.I64()),
-		Total:  time.Duration(d.I64()),
-
-		Fetch:         time.Duration(d.I64()),
-		FetchedBytes:  d.I64(),
-		FetchedChunks: d.Int(),
-		Workers:       d.Int(),
-		OverlapBytes:  d.I64(),
-
-		ResumePause:   time.Duration(d.I64()),
-		PrefetchDrain: time.Duration(d.I64()),
-		DemandBytes:   d.I64(),
-		PrefetchBytes: d.I64(),
-		DemandFaults:  d.Int(),
-	}
+	ev.Restart = coordstate.DecodeRestart(d)
 	co.apply(t, ev)
 	co.retryDeferredGC(t)
 }

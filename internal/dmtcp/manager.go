@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/bin"
+	"repro/internal/coordstate"
 	"repro/internal/kernel"
 	"repro/internal/mtcp"
 	"repro/internal/obs"
@@ -578,19 +579,13 @@ func (m *Manager) doCheckpoint(t *kernel.Task, cfg ckptConfig) {
 	}
 	writeDur := t.Now().Sub(s5)
 	err := m.barrier(t, "checkpointed", writeDur, func(e *bin.Encoder) {
-		e.Str(p.Node.Hostname)
-		e.Str(res.Path)
-		e.Str(p.ProgName)
-		e.I64(int64(m.virtPid))
-		e.I64(res.Bytes)
-		e.I64(res.RawBytes)
 		e.I64(int64(res.SyncTook))
-		e.I64(res.Generation)
-		e.Int(res.Chunks)
-		e.Int(res.NewChunks)
-		e.I64(res.DedupBytes)
-		e.Int(res.Workers)
-		e.I64(res.OverlapBytes)
+		coordstate.EncodeImage(e, &ImageInfo{
+			Host: p.Node.Hostname, Path: res.Path, Prog: p.ProgName, VirtPid: m.virtPid,
+			Bytes: res.Bytes, Raw: res.RawBytes, Generation: res.Generation,
+			Chunks: res.Chunks, NewChunks: res.NewChunks, Dedup: res.DedupBytes,
+			Workers: res.Workers, Overlap: res.OverlapBytes,
+		})
 	})
 	if err != nil {
 		return

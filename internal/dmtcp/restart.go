@@ -663,21 +663,7 @@ func (s *System) restartMain(t *kernel.Task, args []string) {
 	var e bin.Encoder
 	e.B = append(e.B, msgRestartEnd)
 	e.Int(nRestart)
-	e.I64(int64(st.Files))
-	e.I64(int64(st.Conns))
-	e.I64(int64(st.Memory))
-	e.I64(int64(st.Refill))
-	e.I64(int64(st.Total))
-	e.I64(int64(st.Fetch))
-	e.I64(st.FetchedBytes)
-	e.Int(st.FetchedChunks)
-	e.Int(st.Workers)
-	e.I64(st.OverlapBytes)
-	e.I64(int64(st.ResumePause))
-	e.I64(int64(st.PrefetchDrain))
-	e.I64(st.DemandBytes)
-	e.I64(st.PrefetchBytes)
-	e.Int(st.DemandFaults)
+	coordstate.EncodeRestart(&e, st)
 	// The leader may have died after the last barrier released: redial
 	// the coordinator address (a promoted standby rebinds it) and
 	// re-send, so the blocked RestartAll still gets its stage times.

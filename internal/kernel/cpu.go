@@ -26,9 +26,9 @@ const cpuEpsilon = 1e-9
 //
 // This is what makes the paper's §5.3 observation — "compression runs
 // in parallel and may slow down the user process" — an emergent effect
-// rather than the old CompressionSlowdown constant: a forked
-// checkpoint writer's compression jobs and the application's compute
-// loop dilate one another exactly when they oversubscribe the node.
+// rather than a fixed slowdown constant: a forked checkpoint writer's
+// compression jobs and the application's compute loop dilate one
+// another exactly when they oversubscribe the node.
 type CPUSched struct {
 	node  *Node
 	cores int

@@ -27,8 +27,6 @@ type Params struct {
 
 	// SyscallCost is the base cost of an inexpensive system call.
 	SyscallCost time.Duration
-	// ContextSwitch approximates a scheduling hop (wakeup latency).
-	ContextSwitch time.Duration
 	// ForkBase plus ForkPerPage*(RSS/4KiB) is the cost of fork().
 	// Anchor: Table 1a "write checkpoint" under forked checkpointing
 	// is 0.0618 s for a ≈106 MB process → ≈2.2 µs per 4 KiB page.
@@ -154,16 +152,6 @@ type Params struct {
 	GzipZeroBW float64
 	// GunzipZeroBW is decompression throughput over zero output.
 	GunzipZeroBW float64
-
-	// CompressionSlowdown is retained for reference only: it was the
-	// constant run-time slowdown applied to a process while a forked
-	// checkpoint child compressed in the background (§5.3:
-	// "compression runs in parallel and may slow down the user
-	// process").  Per-node core accounting (CoresPerNode) superseded
-	// it — the slowdown now emerges from the writer's compression jobs
-	// and the application's compute loop contending for the node's
-	// cores, and scales with how oversubscribed the node actually is.
-	CompressionSlowdown float64
 
 	// ---- Content-addressed checkpoint store ----
 
@@ -300,13 +288,12 @@ type Params struct {
 // Default returns parameters calibrated against the paper's cluster.
 func Default() *Params {
 	return &Params{
-		SyscallCost:   1500 * time.Nanosecond,
-		ContextSwitch: 4 * time.Microsecond,
-		ForkBase:      300 * time.Microsecond,
-		ForkPerPage:   2200 * time.Nanosecond,
-		ExecCost:      2 * time.Millisecond,
-		PageSize:      4 * KB,
-		CoresPerNode:  4,
+		SyscallCost:  1500 * time.Nanosecond,
+		ForkBase:     300 * time.Microsecond,
+		ForkPerPage:  2200 * time.Nanosecond,
+		ExecCost:     2 * time.Millisecond,
+		PageSize:     4 * KB,
+		CoresPerNode: 4,
 
 		SuspendQuantum:   22 * time.Millisecond,
 		SuspendPerThread: 600 * time.Microsecond,
@@ -338,8 +325,6 @@ func Default() *Params {
 		GunzipBW:     52 * float64(MB),
 		GzipZeroBW:   260 * float64(MB),
 		GunzipZeroBW: 420 * float64(MB),
-
-		CompressionSlowdown: 0.85,
 
 		HashBW:            150 * float64(MB),
 		ChunkLookupCost:   4 * time.Microsecond,
