@@ -41,31 +41,7 @@ func main() {
 	)
 	flag.Parse()
 
-	o := dmtcpsim.Opts{Trials: *trials, Seed: *seed, Quick: *quick}
-	type exp struct {
-		id, desc string
-		fn       func() *dmtcpsim.Table
-	}
-	exps := []exp{
-		{"fig3", "desktop apps ckpt/restart/size (Fig. 3)", func() *dmtcpsim.Table { return dmtcpsim.RunFig3(o) }},
-		{"runcms", "runCMS anecdote (§5.1)", func() *dmtcpsim.Table { return dmtcpsim.RunRunCMS(o) }},
-		{"fig4", "distributed apps, 32 nodes (Fig. 4)", func() *dmtcpsim.Table { return dmtcpsim.RunFig4(o) }},
-		{"fig5a", "ParGeant4 scaling, local disk (Fig. 5a)", func() *dmtcpsim.Table { return dmtcpsim.RunFig5(o, false) }},
-		{"fig5b", "ParGeant4 scaling, SAN/NFS (Fig. 5b)", func() *dmtcpsim.Table { return dmtcpsim.RunFig5(o, true) }},
-		{"fig6", "memory sweep (Fig. 6)", func() *dmtcpsim.Table { return dmtcpsim.RunFig6(o) }},
-		{"table1", "stage breakdown (Table 1)", func() *dmtcpsim.Table { return dmtcpsim.RunTable1(o) }},
-		{"sync", "sync-after-checkpoint cost (§5.2)", func() *dmtcpsim.Table { return dmtcpsim.RunSyncCost(o) }},
-		{"forked", "forked checkpointing (§5.3)", func() *dmtcpsim.Table { return dmtcpsim.RunForked(o) }},
-		{"barrier", "coordinator scalability (§5.4)", func() *dmtcpsim.Table { return dmtcpsim.RunBarrier(o) }},
-		{"dejavu", "DejaVu overhead comparison (§2)", func() *dmtcpsim.Table { return dmtcpsim.RunDejaVu(o) }},
-		{"store", "incremental chunk store vs full rewrite", func() *dmtcpsim.Table { return dmtcpsim.RunStore(o) }},
-		{"failover", "replicated storage + node-failure recovery", func() *dmtcpsim.Table { return dmtcpsim.RunFailover(o) }},
-		{"coordha", "coordinator HA: journaled state machine + standby takeover", func() *dmtcpsim.Table { return dmtcpsim.RunCoordFailover(o) }},
-		{"pipeline", "parallel pipelined checkpoint write (workers x dirty%)", func() *dmtcpsim.Table { return dmtcpsim.RunPipeline(o) }},
-		{"restore", "streamed restore pipeline (remote-fetch restart x workers)", func() *dmtcpsim.Table { return dmtcpsim.RunRestore(o) }},
-		{"restorelazy", "lazy post-copy restore (skeleton resume + striped prefetch x size)", func() *dmtcpsim.Table { return dmtcpsim.RunRestoreLazy(o) }},
-		{"chaos", "chaos schedules: partitions, lossy links, bit rot, node death", func() *dmtcpsim.Table { return dmtcpsim.RunChaos(o) }},
-	}
+	exps := experiments(dmtcpsim.Opts{Trials: *trials, Seed: *seed, Quick: *quick})
 	if *list {
 		for _, e := range exps {
 			fmt.Printf("%-8s %s\n", e.id, e.desc)
@@ -88,17 +64,7 @@ func main() {
 			continue
 		}
 		start := time.Now()
-		// An untouched tracer's first Env stays on run 0; afterwards
-		// every Env gets a fresh run number, so Runs() marks where this
-		// experiment's trials begin.
-		lo := 0
-		if tracer != nil && len(tracer.Events()) > 0 {
-			lo = tracer.Runs()
-		}
-		tab := e.fn()
-		if tracer != nil {
-			tab.CriticalPath = criticalPathSince(tracer, lo)
-		}
+		tab := e.regenerate(tracer)
 		if *asJSON {
 			tables = append(tables, tab)
 			fmt.Fprintf(os.Stderr, "(%s regenerated in %v wall time)\n", e.id, time.Since(start).Round(time.Millisecond))
@@ -133,6 +99,53 @@ func main() {
 		dmtcpsim.AttachAnalyzer(tracer)
 		fmt.Fprint(os.Stderr, tracer.Report())
 	}
+}
+
+// exp is one regenerable experiment.
+type exp struct {
+	id, desc string
+	fn       func() *dmtcpsim.Table
+}
+
+// experiments lists every experiment at options o, in -run all order.
+func experiments(o dmtcpsim.Opts) []exp {
+	return []exp{
+		{"fig3", "desktop apps ckpt/restart/size (Fig. 3)", func() *dmtcpsim.Table { return dmtcpsim.RunFig3(o) }},
+		{"runcms", "runCMS anecdote (§5.1)", func() *dmtcpsim.Table { return dmtcpsim.RunRunCMS(o) }},
+		{"fig4", "distributed apps, 32 nodes (Fig. 4)", func() *dmtcpsim.Table { return dmtcpsim.RunFig4(o) }},
+		{"fig5a", "ParGeant4 scaling, local disk (Fig. 5a)", func() *dmtcpsim.Table { return dmtcpsim.RunFig5(o, false) }},
+		{"fig5b", "ParGeant4 scaling, SAN/NFS (Fig. 5b)", func() *dmtcpsim.Table { return dmtcpsim.RunFig5(o, true) }},
+		{"fig6", "memory sweep (Fig. 6)", func() *dmtcpsim.Table { return dmtcpsim.RunFig6(o) }},
+		{"table1", "stage breakdown (Table 1)", func() *dmtcpsim.Table { return dmtcpsim.RunTable1(o) }},
+		{"sync", "sync-after-checkpoint cost (§5.2)", func() *dmtcpsim.Table { return dmtcpsim.RunSyncCost(o) }},
+		{"forked", "forked checkpointing (§5.3)", func() *dmtcpsim.Table { return dmtcpsim.RunForked(o) }},
+		{"barrier", "coordinator scalability (§5.4)", func() *dmtcpsim.Table { return dmtcpsim.RunBarrier(o) }},
+		{"dejavu", "DejaVu overhead comparison (§2)", func() *dmtcpsim.Table { return dmtcpsim.RunDejaVu(o) }},
+		{"store", "incremental chunk store vs full rewrite", func() *dmtcpsim.Table { return dmtcpsim.RunStore(o) }},
+		{"failover", "replicated storage + node-failure recovery", func() *dmtcpsim.Table { return dmtcpsim.RunFailover(o) }},
+		{"coordha", "coordinator HA: journaled state machine + standby takeover", func() *dmtcpsim.Table { return dmtcpsim.RunCoordFailover(o) }},
+		{"pipeline", "parallel pipelined checkpoint write (workers x dirty%)", func() *dmtcpsim.Table { return dmtcpsim.RunPipeline(o) }},
+		{"restore", "streamed restore pipeline (remote-fetch restart x workers)", func() *dmtcpsim.Table { return dmtcpsim.RunRestore(o) }},
+		{"restorelazy", "lazy post-copy restore (skeleton resume + striped prefetch x size)", func() *dmtcpsim.Table { return dmtcpsim.RunRestoreLazy(o) }},
+		{"chaos", "chaos schedules: partitions, lossy links, bit rot, node death", func() *dmtcpsim.Table { return dmtcpsim.RunChaos(o) }},
+	}
+}
+
+// regenerate runs the experiment and, when tracer is non-nil, attaches
+// the critical path of the trials it just recorded.
+func (e exp) regenerate(tracer *dmtcpsim.Tracer) *dmtcpsim.Table {
+	// An untouched tracer's first Env stays on run 0; afterwards every
+	// Env gets a fresh run number, so Runs() marks where this
+	// experiment's trials begin.
+	lo := 0
+	if tracer != nil && len(tracer.Events()) > 0 {
+		lo = tracer.Runs()
+	}
+	tab := e.fn()
+	if tracer != nil {
+		tab.CriticalPath = criticalPathSince(tracer, lo)
+	}
+	return tab
 }
 
 // criticalPathSince analyzes the whole trace and keeps only the rounds

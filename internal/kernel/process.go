@@ -89,6 +89,12 @@ type Process struct {
 	// manager attaches its bookkeeping here).
 	Plugin any
 
+	// stateEnc is a deferred [state] encoder set by SaveStateFunc and
+	// run at the next read of process memory (FlushState); stateLen
+	// is the length it must produce.
+	stateEnc func(dst []byte) []byte
+	stateLen int
+
 	// Stdout accumulates console output for tests and examples.
 	Stdout bytes.Buffer
 }
@@ -243,21 +249,68 @@ func (p *Process) SpawnTask(role string, daemon bool, fn func(*Task)) *Task {
 const stateArea = "[state]"
 
 // SaveState stores the program's control state into process memory,
-// where checkpoint images capture it.
+// where checkpoint images capture it.  It replaces any encoder still
+// pending from SaveStateFunc; the reads of process memory that would
+// otherwise run that encoder first (mtcp.Capture, fork, LoadState) see
+// these bytes.
 func (p *Process) SaveState(b []byte) {
+	a := p.writeState(len(b))
+	a.Payload = append(a.Payload[:0], b...)
+}
+
+// SaveStateFunc records a write of n bytes of control state whose
+// contents enc produces (appending to dst) only when process memory is
+// next read.  The write itself — area size, dirty chunk versions — is
+// accounted now, exactly as SaveState of n bytes would.  The bytes are
+// materialised at the flush points, every read of process memory:
+// mtcp.Capture, fork (before the address space is copied) and
+// LoadState.  A later SaveState or SaveStateFunc replaces the pending
+// encoder, and Exec drops it with the old image.
+//
+// The caller guarantees that enc, run at any later flush point, yields
+// the bytes the state held at this call: whatever enc reads changes
+// only together with a new SaveStateFunc, with no scheduling point in
+// between.
+func (p *Process) SaveStateFunc(n int, enc func(dst []byte) []byte) {
+	p.writeState(n)
+	p.stateEnc = enc
+	p.stateLen = n
+}
+
+// writeState maps the state area and accounts a write of its first n
+// bytes, dropping any pending encoder.
+func (p *Process) writeState(n int) *VMArea {
+	p.stateEnc = nil
 	a := p.Mem.Area(stateArea)
 	if a == nil {
 		a = p.Mem.Map(&VMArea{Name: stateArea, Kind: AreaData, Class: model.ClassData})
 	}
-	a.Payload = append(a.Payload[:0], b...)
-	if a.Bytes < int64(len(b)) {
-		a.Bytes = int64(len(b))
+	if a.Bytes < int64(n) {
+		a.Bytes = int64(n)
 	}
-	a.Touch(0, int64(len(b)))
+	a.Touch(0, int64(n))
+	return a
+}
+
+// FlushState materialises a state write deferred by SaveStateFunc.
+// Readers of process memory call it first; it is a no-op when nothing
+// is pending.
+func (p *Process) FlushState() {
+	enc := p.stateEnc
+	if enc == nil {
+		return
+	}
+	p.stateEnc = nil
+	a := p.Mem.Area(stateArea)
+	a.Payload = enc(a.Payload[:0])
+	if len(a.Payload) != p.stateLen {
+		panic(fmt.Sprintf("kernel: %s state encoder wrote %d bytes, declared %d", p.ProgName, len(a.Payload), p.stateLen))
+	}
 }
 
 // LoadState retrieves the stored control state, or nil.
 func (p *Process) LoadState() []byte {
+	p.FlushState()
 	if a := p.Mem.Area(stateArea); a != nil {
 		return a.Payload
 	}
@@ -314,6 +367,7 @@ func (t *Task) fork(childName string, fn func(*Task), raw bool) Pid {
 	t.charge(p.params().ForkCost(p.Mem.RSS()))
 	for {
 		child := p.Kern.allocProcess(p, childName, p.Args)
+		p.FlushState()
 		child.Mem = p.Mem.clone()
 		child.Env = copyEnv(p.Env)
 		for fd, of := range p.fds {
@@ -370,6 +424,7 @@ func (t *Task) Exec(prog string, args []string) error {
 	p.ProgName = prog
 	p.Args = args
 	p.Mem = NewAddressSpace()
+	p.stateEnc = nil // the pending state belongs to the old image
 	p.installHooks() // re-evaluates LD_PRELOAD in the (inherited) env
 	if p.hooks != nil {
 		p.hooks.PostExec(t)

@@ -23,6 +23,17 @@
 // The result: after any checkpoint/kill/restart, a rank re-executes
 // from its last Commit, re-observes exactly the messages it had not
 // yet consumed, and duplicates none of its sends.
+//
+// All three rest on one invariant: every change to a persisted World
+// field (receive log, committed cursors, on-wire counts, application
+// state) is followed by saveState inside the same critical section,
+// with no scheduling point in between.  Checkpoints wait for critical
+// sections to end, so the persisted fields seen at any read of process
+// memory are the ones last saved.  That is what lets saveState account
+// the write eagerly but defer the encoding to the read, as MTCP reads
+// memory only at checkpoint time (paper §4): a rank pays for
+// serialising its state once per capture, not on every send and
+// receive.
 package mpi
 
 import (
@@ -258,11 +269,33 @@ func insertionSort(a []int) {
 
 // --- persistence ------------------------------------------------------
 
-// saveState persists the library + application state into process
-// memory (where checkpoint images capture it).  Callers must invoke
-// it only inside a critical section or other atomic region.
+// saveState records a write of the library + application state into
+// process memory (where checkpoint images capture it).  Callers must
+// invoke it inside a critical section, right after changing a
+// persisted field and with no scheduling point in between: the bytes
+// are encoded from the live fields only when memory is read
+// (kernel.Process.SaveStateFunc), and that invariant (see the package
+// doc) is what makes them the bytes this call would have stored.
 func (w *World) saveState() {
-	var e bin.Encoder
+	w.T.P.SaveStateFunc(w.stateSize(), w.encodeState)
+}
+
+// stateSize is the length of encodeState's output, computed field by
+// field: rank, layout, listener, peer count, then per peer its rank,
+// fd, length-prefixed log and three counters, then the length-prefixed
+// application state.
+func (w *World) stateSize() int {
+	n := 8 + 32 + 8 + 4 + 4 + len(w.app)
+	for _, p := range w.peers {
+		n += 8 + 8 + 4 + len(w.chans[p].rx) + 24
+	}
+	return n
+}
+
+// encodeState appends the persisted World to dst; stateSize mirrors it
+// field by field.
+func (w *World) encodeState(dst []byte) []byte {
+	e := bin.Encoder{B: dst}
 	e.Int(w.Rank)
 	w.Layout.encode(&e)
 	e.Int(w.listenFD)
@@ -277,7 +310,7 @@ func (w *World) saveState() {
 		e.Int(ch.sentAtCommit)
 	}
 	e.Bytes(w.app)
-	w.T.P.SaveState(e.B)
+	return e.B
 }
 
 // Resume reconstructs a World inside a restored process and returns
@@ -325,8 +358,10 @@ func (w *World) Commit(appState []byte) {
 	w.app = append(w.app[:0], appState...)
 	for _, p := range w.peers {
 		ch := w.chans[p]
-		// Discard consumed log bytes and advance committed cursors.
-		ch.rx = append([]byte(nil), ch.rx[ch.rxLive:]...)
+		// Discard consumed log bytes in place (Recv and RecvAny copy
+		// what they return, so nothing aliases the log) and advance
+		// committed cursors.
+		ch.rx = ch.rx[:copy(ch.rx, ch.rx[ch.rxLive:])]
 		ch.rxCommitted = 0
 		ch.rxLive = 0
 		ch.sentAtCommit = ch.sentLive

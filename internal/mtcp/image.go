@@ -90,6 +90,7 @@ type Image struct {
 // Capture snapshots a process into an image.  The caller (the
 // checkpoint manager) must have suspended the process's user threads.
 func Capture(p *kernel.Process, virtPid kernel.Pid) *Image {
+	p.FlushState()
 	img := &Image{
 		Hostname: p.Node.Hostname,
 		ProgName: p.ProgName,

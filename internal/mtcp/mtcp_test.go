@@ -179,6 +179,24 @@ func TestReadImageRestoresAndCharges(t *testing.T) {
 	})
 }
 
+func TestCaptureMaterialisesDeferredState(t *testing.T) {
+	eng, c := testCluster(t)
+	run(t, eng, c, func(task *kernel.Task) {
+		state := []byte("deferred=42")
+		task.P.SaveStateFunc(len(state), func(dst []byte) []byte { return append(dst, state...) })
+		img := Capture(task.P, 1)
+		for _, a := range img.Areas {
+			if a.Name == "[state]" {
+				if string(a.Payload) != "deferred=42" || a.PayloadBytes != int64(len(state)) {
+					t.Errorf("captured [state] = %q (%d bytes), want deferred=42", a.Payload, a.PayloadBytes)
+				}
+				return
+			}
+		}
+		t.Error("no [state] area captured")
+	})
+}
+
 func TestFsyncCostMatchesDirtyBytes(t *testing.T) {
 	eng, c := testCluster(t)
 	run(t, eng, c, func(task *kernel.Task) {
