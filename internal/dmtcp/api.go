@@ -7,12 +7,12 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/bin"
 	"repro/internal/coordstate"
 	"repro/internal/kernel"
 	"repro/internal/model"
 	"repro/internal/mtcp"
 	"repro/internal/replica"
+	"repro/internal/retry"
 	"repro/internal/sim"
 	"repro/internal/store"
 )
@@ -436,33 +436,28 @@ func (s *System) commandMain(t *kernel.Task, args []string) {
 		t.Printf("usage: dmtcp_command --checkpoint|--status|--quit\n")
 		t.Exit(2)
 	}
-	fd := t.Socket()
-	if of, err := t.P.FD(fd); err == nil {
-		of.Protected = true
-	}
-	if err := t.Connect(fd, s.coordAddr()); err != nil {
-		t.Printf("dmtcp_command: %v\n", err)
-		t.Exit(1)
-	}
-	defer t.Close(fd)
+	var err error
 	switch args[0] {
 	case "--checkpoint", "-c":
-		t.SendFrame(fd, []byte{msgCheckpoint})
-		if _, err := t.RecvFrame(fd); err != nil {
-			t.Exit(1)
-		}
+		_, err = s.coordCall(t, []byte{msgCheckpoint})
 	case "--status", "-s":
-		t.SendFrame(fd, []byte{msgStatus})
-		frame, err := t.RecvFrame(fd)
-		if err == nil && len(frame) > 1 {
-			d := &bin.Decoder{B: frame[1:]}
-			t.Printf("clients=%d rounds=%d\n", d.Int(), d.Int())
+		var clients, rounds int
+		if clients, rounds, err = s.coordStatus(t); err == nil {
+			t.Printf("clients=%d rounds=%d\n", clients, rounds)
 		}
 	case "--quit", "-q":
-		t.SendFrame(fd, []byte{msgQuit})
+		var fd int
+		if fd, err = t.DialProtected(s.coordAddr()); err == nil {
+			t.SendFrame(fd, []byte{msgQuit})
+			t.Close(fd)
+		}
 	default:
 		t.Printf("dmtcp_command: unknown option %s\n", args[0])
 		t.Exit(2)
+	}
+	if err != nil {
+		t.Printf("dmtcp_command: %v\n", err)
+		t.Exit(1)
 	}
 }
 
@@ -509,13 +504,14 @@ func (s *System) roundLost(err error) error {
 func (s *System) Checkpoint(t *kernel.Task) (*CkptRound, error) {
 	want := len(s.Coord.Rounds()) + 1
 	for attempt := 0; ; attempt++ {
-		err := s.checkpointOnce(t)
+		_, err := s.coordCall(t, []byte{msgCheckpoint})
 		if err == nil {
 			if rounds := s.Coord.Rounds(); len(rounds) >= want {
 				return rounds[want-1], nil
 			}
 			return nil, fmt.Errorf("dmtcp: round did not complete")
 		}
+		err = fmt.Errorf("dmtcp: checkpoint request: %w", err)
 		if len(s.coords) <= 1 {
 			return nil, err
 		}
@@ -524,11 +520,7 @@ func (s *System) Checkpoint(t *kernel.Task) (*CkptRound, error) {
 		}
 		// The coordinator died under the request: wait for the standby
 		// takeover.
-		deadline := t.Now().Add(s.C.Params.CoordRetryWindow)
-		for s.Coord.Node.Down && t.Now() < deadline {
-			s.doneW.WaitTimeout(t.T, 20*time.Millisecond)
-		}
-		if s.Coord.Node.Down {
+		if !s.awaitLeader(t, retry.CoordRetry(s.C.Params)) {
 			return nil, s.roundLost(fmt.Errorf("dmtcp: coordinator lost with no live standby: %w", err))
 		}
 		// The promoted standby resumes an inherited in-flight round
@@ -559,37 +551,13 @@ func (s *System) awaitRound(t *kernel.Task) error {
 			return nil
 		}
 		if s.Coord.Node.Down {
-			deadline := t.Now().Add(s.C.Params.CoordRetryWindow)
-			for s.Coord.Node.Down && t.Now() < deadline {
-				s.doneW.WaitTimeout(t.T, 20*time.Millisecond)
-			}
-			if s.Coord.Node.Down {
+			if !s.awaitLeader(t, retry.CoordRetry(s.C.Params)) {
 				return s.roundLost(fmt.Errorf("dmtcp: coordinator lost mid-round with no live standby"))
 			}
 			continue
 		}
 		s.doneW.WaitTimeout(t.T, 20*time.Millisecond)
 	}
-}
-
-// checkpointOnce issues one checkpoint request against the current
-// coordinator and waits for its completion frame.
-func (s *System) checkpointOnce(t *kernel.Task) error {
-	fd := t.Socket()
-	if of, err := t.P.FD(fd); err == nil {
-		of.Protected = true
-	}
-	if err := t.Connect(fd, s.coordAddr()); err != nil {
-		return fmt.Errorf("dmtcp: checkpoint request: %w", err)
-	}
-	defer t.Close(fd)
-	if err := t.SendFrame(fd, []byte{msgCheckpoint}); err != nil {
-		return err
-	}
-	if _, err := t.RecvFrame(fd); err != nil {
-		return fmt.Errorf("dmtcp: waiting for checkpoint: %w", err)
-	}
-	return nil
 }
 
 // NumManaged returns the number of live checkpointable processes.
@@ -646,12 +614,8 @@ func (s *System) RestartAll(t *kernel.Task, round *CkptRound, place Placement) (
 	// barriers, stage reports).  With standbys configured, wait out a
 	// pending takeover; without one, fail fast instead of spawning
 	// restarts that can only wedge.
-	if s.Coord.Node.Down && s.haEnabled() {
-		p := s.C.Params
-		deadline := t.Now().Add(p.FailureDetectDelay + p.ElectionTimeout + p.CoordRetryWindow)
-		for s.Coord.Node.Down && t.Now() < deadline {
-			s.doneW.WaitTimeout(t.T, 20*time.Millisecond)
-		}
+	if s.haEnabled() {
+		s.awaitLeader(t, retry.RestartDial(s.C.Params))
 	}
 	if s.Coord.Node.Down {
 		return nil, fmt.Errorf("dmtcp: restart requires a live coordinator (node %s is down)", s.Coord.Node.Hostname)

@@ -1,9 +1,6 @@
 package dmtcp
 
-import (
-	"repro/internal/bin"
-	"repro/internal/kernel"
-)
+import "repro/internal/kernel"
 
 // AwareAPI is the dmtcpaware programming interface (§3.1): an
 // optional library letting an application test whether it runs under
@@ -52,23 +49,7 @@ func (a *AwareAPI) DelayCheckpointsEnd(t *kernel.Task) { t.EndCritical() }
 // Status queries the coordinator for (registered processes, completed
 // checkpoint rounds).
 func (a *AwareAPI) Status(t *kernel.Task) (clients, rounds int, err error) {
-	fd := t.Socket()
-	if of, ferr := t.P.FD(fd); ferr == nil {
-		of.Protected = true
-	}
-	if err = t.Connect(fd, a.m.sys.coordAddr()); err != nil {
-		return 0, 0, err
-	}
-	defer t.Close(fd)
-	if err = t.SendFrame(fd, []byte{msgStatus}); err != nil {
-		return 0, 0, err
-	}
-	frame, err := t.RecvFrame(fd)
-	if err != nil {
-		return 0, 0, err
-	}
-	d := &bin.Decoder{B: frame[1:]}
-	return d.Int(), d.Int(), d.Err
+	return a.m.sys.coordStatus(t)
 }
 
 // OnPreCheckpoint registers fn to run (in the checkpoint manager

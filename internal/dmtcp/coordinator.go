@@ -277,20 +277,15 @@ func (co *Coordinator) runEffects(t *kernel.Task, effects []coordstate.Effect) {
 				}
 			}
 		case coordstate.FxRelease:
-			var e bin.Encoder
-			e.B = append(e.B, msgRelease)
-			e.Str(fx.Name)
+			frame := releaseFrame(fx.Name)
 			for _, cid := range fx.CIDs {
 				if fd, ok := co.conns[cid]; ok {
-					t.SendFrame(fd, e.B)
+					t.SendFrame(fd, frame)
 				}
 			}
 		case coordstate.FxReleaseOne:
 			if fd, ok := co.conns[fx.CID]; ok {
-				var e bin.Encoder
-				e.B = append(e.B, msgRelease)
-				e.Str(fx.Name)
-				t.SendFrame(fd, e.B)
+				t.SendFrame(fd, releaseFrame(fx.Name))
 			}
 		case coordstate.FxRoundDone:
 			co.afterRound(t, fx.Round)
@@ -515,16 +510,10 @@ func (co *Coordinator) onGroupJoin(t *kernel.Task, name string, want int, rank s
 		g = newGroupBarrier(want)
 		co.groups[name] = g
 	}
-	release := func(rfd int) {
-		var e bin.Encoder
-		e.B = append(e.B, msgRelease)
-		e.Str(name)
-		t.SendFrame(rfd, e.B)
-	}
 	if g.released {
 		// Barrier already complete: the old leader died mid-release
 		// burst and this rank re-joined to collect its release.
-		release(fd)
+		t.SendFrame(fd, releaseFrame(name))
 		return
 	}
 	g.joined[rank] = true
@@ -539,8 +528,9 @@ func (co *Coordinator) onGroupJoin(t *kernel.Task, name string, want int, rank s
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
+	frame := releaseFrame(name)
 	for _, id := range ids {
-		release(g.fds[id])
+		t.SendFrame(g.fds[id], frame)
 	}
 	g.fds = make(map[string]int)
 }
@@ -591,6 +581,15 @@ func (co *Coordinator) resync(t *kernel.Task, fd int, body []byte) int64 {
 		}
 	}
 	return cid
+}
+
+// releaseFrame encodes the release of the named barrier (checkpoint
+// round barriers and restart group barriers alike).
+func releaseFrame(name string) []byte {
+	var e bin.Encoder
+	e.B = append(e.B, msgRelease)
+	e.Str(name)
+	return e.B
 }
 
 // doCkptFrame encodes the begin-checkpoint request broadcast to
@@ -1133,13 +1132,12 @@ func (co *Coordinator) watchRank() int {
 // handshake from this node (a partition or refuse window fails it
 // fast with a refused connection).
 func (co *Coordinator) probe(t *kernel.Task, host string) bool {
-	fd := t.Socket()
-	if of, err := t.P.FD(fd); err == nil {
-		of.Protected = true
+	fd, err := t.DialProtected(kernel.Addr{Host: host, Port: replica.Port})
+	if err != nil {
+		return false
 	}
-	err := t.Connect(fd, kernel.Addr{Host: host, Port: replica.Port})
 	t.Close(fd)
-	return err == nil
+	return true
 }
 
 // promote turns a standby into the active coordinator.  An in-flight

@@ -10,32 +10,11 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/mtcp"
 	"repro/internal/obs"
-	"repro/internal/retry"
 )
 
 // drainToken is the flush cookie sent through every socket at drain
 // time (§4.3 step 4).
 var drainToken = []byte("\x00\x01DMTCP-EOB\x01\x00")
-
-// CoordLostError reports that a manager lost its coordinator
-// connection and exhausted the reconnect/backoff window without a
-// standby taking over.  Callers see it (rather than a silent round
-// failure) when coordinator HA is enabled but no live standby exists.
-type CoordLostError struct {
-	// Addr is the last coordinator address tried.
-	Addr kernel.Addr
-	// Attempts is how many reconnects were attempted.
-	Attempts int
-	// Err is the last connect error.
-	Err error
-}
-
-func (e *CoordLostError) Error() string {
-	return fmt.Sprintf("dmtcp: coordinator at %s:%d unreachable after %d attempts: %v",
-		e.Addr.Host, e.Addr.Port, e.Attempts, e.Err)
-}
-
-func (e *CoordLostError) Unwrap() error { return e.Err }
 
 // Manager is the per-process DMTCP library instance: the libc
 // wrappers (as a kernel.Hooks implementation) plus the checkpoint
@@ -78,9 +57,8 @@ type Manager struct {
 	// entry by this string.
 	desc string
 	// pendingCkpt stashes a checkpoint request that arrived while the
-	// manager was mid-barrier (a promoted coordinator re-sends the
-	// request at resync if it started a round the manager never saw);
-	// loop consumes it before reading the socket again.
+	// manager was mid-barrier (awaitRelease); loop consumes it before
+	// reading the socket again.
 	pendingCkpt []byte
 	// curTag is the round identity of the checkpoint in progress,
 	// echoed with every barrier arrival.
@@ -171,18 +149,14 @@ func (m *Manager) startHeartbeat() {
 				// the heal instead.  Closing the link makes the
 				// manager loop's read fail, and its reconnect path
 				// resyncs with the current leader.
-				addr := m.sys.coordAddr()
-				pfd := t.Socket()
-				if of, err := t.P.FD(pfd); err == nil {
-					of.Protected = true
-				}
-				rerr := t.Connect(pfd, addr)
-				t.Close(pfd)
-				if rerr == nil && m.coordFD >= 0 {
-					fd := m.coordFD
-					m.coordFD = -1
-					t.Close(fd)
-					continue
+				if pfd, err := t.DialProtected(m.sys.coordAddr()); err == nil {
+					t.Close(pfd)
+					if m.coordFD >= 0 {
+						fd := m.coordFD
+						m.coordFD = -1
+						t.Close(fd)
+						continue
+					}
 				}
 				// New leader unreachable: fall through and keep
 				// heartbeating on the existing link so the old leader
@@ -207,101 +181,6 @@ func (m *Manager) startHeartbeat() {
 			t.SendFrame(m.coordFD, e.B)
 		}
 	})
-}
-
-func (m *Manager) connectCoordinator(t *kernel.Task) {
-	m.desc = fmt.Sprintf("%s/%s[%d]", m.p.Node.Hostname, m.p.ProgName, m.virtPid)
-	fd := t.Socket()
-	if of, err := t.P.FD(fd); err == nil {
-		of.Protected = true // excluded from checkpointing
-	}
-	addr := m.sys.coordAddr()
-	if err := t.Connect(fd, addr); err != nil {
-		// A restored manager can land in a takeover interregnum (the
-		// leader died mid-restart): with HA, wait out the election via
-		// the resync path, which registers unknown identities too.
-		t.Close(fd)
-		m.coordFD = -1
-		if m.sys.haEnabled() {
-			if rerr := m.reconnectCoordinator(t); rerr == nil {
-				return
-			}
-		}
-		panic(fmt.Sprintf("dmtcp: cannot reach coordinator at %v: %v", addr, err))
-	}
-	var e bin.Encoder
-	e.B = append(e.B, msgRegister)
-	e.Str(m.desc)
-	if err := t.SendFrame(fd, e.B); err != nil {
-		panic(fmt.Sprintf("dmtcp: register: %v", err))
-	}
-	m.coordFD = fd
-	m.coordTo = addr
-}
-
-// coordLost handles a dead coordinator connection.  Without standbys
-// (or in a dying process) it returns an error immediately — the old
-// behavior: the session is over.  With coordinator HA it retries with
-// capped exponential backoff until the promoted standby answers,
-// re-binding this manager's identity with a resync handshake; the
-// typed CoordLostError surfaces only when the window closes with no
-// leader.
-func (m *Manager) coordLost(t *kernel.Task) error {
-	if m.p.Dead || m.p.Zombie || !m.sys.haEnabled() {
-		return fmt.Errorf("dmtcp: coordinator connection lost")
-	}
-	return m.reconnectCoordinator(t)
-}
-
-// reconnectCoordinator dials the (possibly re-elected) coordinator
-// with the unified jittered-backoff policy and resyncs this manager's
-// identity.
-func (m *Manager) reconnectCoordinator(t *kernel.Task) error {
-	pol := retry.CoordRetry(m.sys.C.Params)
-	bo := pol.Backoff(m.sys.C.Eng.Rand())
-	deadline := t.Now().Add(pol.Deadline)
-	attempts := 0
-	var lastErr error
-	if m.coordFD >= 0 {
-		// Drop the dead connection's descriptor before dialing anew;
-		// otherwise every takeover leaks one protected fd per manager.
-		t.Close(m.coordFD)
-		m.coordFD = -1
-	}
-	for {
-		if m.p.Dead || m.p.Zombie {
-			return fmt.Errorf("dmtcp: process died while reconnecting")
-		}
-		attempts++
-		addr := m.sys.coordAddr()
-		fd := t.Socket()
-		if of, err := t.P.FD(fd); err == nil {
-			of.Protected = true
-		}
-		if err := t.Connect(fd, addr); err != nil {
-			lastErr = err
-			t.Close(fd)
-		} else {
-			var e bin.Encoder
-			e.B = append(e.B, msgResync)
-			e.Str(m.desc)
-			e.I64(m.curTag)
-			e.Int(m.curPassed)
-			if err := t.SendFrame(fd, e.B); err != nil {
-				lastErr = err
-				t.Close(fd)
-			} else {
-				m.coordFD = fd
-				m.coordTo = addr
-				return nil
-			}
-		}
-		delay := bo.Next()
-		if t.Now().Add(delay) > deadline {
-			return &CoordLostError{Addr: addr, Attempts: attempts, Err: lastErr}
-		}
-		t.Idle(delay)
-	}
 }
 
 // loop is the checkpoint manager thread: it blocks at the special
@@ -361,12 +240,9 @@ type ckptConfig struct {
 
 // barrier reports arrival at a named global barrier and blocks until
 // the coordinator releases it (§4.3: "the only global communication
-// primitive used at checkpoint time is a barrier").  If the
-// coordinator dies mid-wait and a standby takes over, the arrival is
-// re-sent on the resynced connection — the coordinator state machine
-// treats duplicate arrivals as idempotent and re-releases barriers the
-// old leader had already released before dying, so the manager never
-// wedges mid-algorithm.
+// primitive used at checkpoint time is a barrier"), surviving a
+// coordinator takeover mid-wait (awaitRelease).  Passed barriers are
+// counted for the resync handshake.
 func (m *Manager) barrier(t *kernel.Task, name string, stage time.Duration, extra func(*bin.Encoder)) error {
 	bStart := t.Now()
 	defer func() {
@@ -382,36 +258,11 @@ func (m *Manager) barrier(t *kernel.Task, name string, stage time.Duration, extr
 	if extra != nil {
 		extra(&e)
 	}
-	for {
-		if err := t.SendFrame(m.coordFD, e.B); err != nil {
-			if lerr := m.coordLost(t); lerr != nil {
-				return lerr
-			}
-			continue // re-send the arrival on the new connection
-		}
-		for {
-			frame, err := t.RecvFrame(m.coordFD)
-			if err != nil {
-				if lerr := m.coordLost(t); lerr != nil {
-					return lerr
-				}
-				break // resynced: re-send the arrival
-			}
-			if len(frame) > 0 && frame[0] == msgRelease {
-				d := &bin.Decoder{B: frame[1:]}
-				if d.Str() == name {
-					m.curPassed++
-					return nil
-				}
-			}
-			if len(frame) > 0 && frame[0] == msgDoCkpt {
-				// A promoted coordinator started a round while this
-				// manager was still finishing an aborted one: keep the
-				// request for loop so it is not lost mid-barrier.
-				m.pendingCkpt = append([]byte(nil), frame...)
-			}
-		}
+	if err := m.awaitRelease(t, name, e.B); err != nil {
+		return err
 	}
+	m.curPassed++
+	return nil
 }
 
 // doCheckpoint executes stages 2–7 of the checkpoint algorithm.

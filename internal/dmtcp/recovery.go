@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/coordstate"
 	"repro/internal/kernel"
+	"repro/internal/retry"
 	"repro/internal/store"
 )
 
@@ -65,15 +66,8 @@ func (s *System) Recover(t *kernel.Task) (*Recovery, error) {
 	t.Idle(s.detectDelay())
 	// The coordinator may be among the dead: wait for the standby
 	// takeover before reading any coordinator state.
-	if s.Coord.Node.Down {
-		p := s.C.Params
-		deadline := t.Now().Add(p.FailureDetectDelay + p.ElectionTimeout + p.CoordRetryWindow)
-		for s.Coord.Node.Down && t.Now() < deadline {
-			s.doneW.WaitTimeout(t.T, 20*time.Millisecond)
-		}
-		if s.Coord.Node.Down {
-			return nil, fmt.Errorf("dmtcp: coordinator node %s lost with no live standby", s.Coord.Node.Hostname)
-		}
+	if !s.awaitLeader(t, retry.RestartDial(s.C.Params)) {
+		return nil, fmt.Errorf("dmtcp: coordinator node %s lost with no live standby", s.Coord.Node.Hostname)
 	}
 	co := s.Coord
 	// Let a round the node died in the middle of settle first

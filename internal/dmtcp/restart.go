@@ -158,7 +158,7 @@ func (s *System) restartMain(t *kernel.Task, args []string) {
 	// spawned into a takeover interregnum (the leader died after the
 	// group was journaled, the standby is still electing itself) waits
 	// out the election instead of dying.
-	cfd, err := s.dialCoord(t)
+	cfd, _, err := s.redialCoord(t, retry.RestartDial(s.C.Params), nil)
 	if err != nil {
 		t.Printf("dmtcp_restart: coordinator: %v\n", err)
 		t.Exit(1)
@@ -346,12 +346,7 @@ func (s *System) restartMain(t *kernel.Task, args []string) {
 	// Best-effort — a dead leader is healed by the barrier rejoins
 	// below, which re-report each rank's furthest stage.
 	for _, pi := range imgs {
-		var e bin.Encoder
-		e.B = append(e.B, msgRestartRank)
-		e.Str(gen)
-		e.Str(pi.path)
-		e.Str(coordstate.RestartRankFetched)
-		t.SendFrame(cfd, e.B)
+		t.SendFrame(cfd, rankFrame(gen, pi.path, coordstate.RestartRankFetched))
 	}
 
 	// ---- Step 1: reopen files and recreate ptys ------------------------
@@ -670,7 +665,7 @@ func (s *System) restartMain(t *kernel.Task, args []string) {
 	// A failed send was never journaled, so the retry delivers at most
 	// once.
 	for t.SendFrame(cfd, e.B) != nil {
-		nfd, err := s.dialCoord(t)
+		nfd, _, err := s.redialCoord(t, retry.RestartDial(s.C.Params), nil)
 		if err != nil {
 			break
 		}
@@ -850,77 +845,30 @@ func (s *System) restoreProcess(
 	res.Restore(c, p.LoadState())
 }
 
-// dialCoord connects a protected socket to the (possibly just
-// promoted) coordinator, retrying with the unified jittered-backoff
-// policy across a takeover interregnum; it gives up only when the
-// detection + election + retry window closes with no leader answering.
-// The jitter matters here most of all: every restarting rank dials at
-// once, and identical backoff schedules would stampede the coordinator
-// in lockstep after each refusal.
-func (s *System) dialCoord(t *kernel.Task) (int, error) {
-	pol := retry.RestartDial(s.C.Params)
-	bo := pol.Backoff(s.C.Eng.Rand())
-	deadline := t.Now().Add(pol.Deadline)
-	for {
-		fd := t.Socket()
-		if of, err := t.P.FD(fd); err == nil {
-			of.Protected = true
-		}
-		err := t.Connect(fd, s.coordAddr())
-		if err == nil {
-			return fd, nil
-		}
-		t.Close(fd)
-		delay := bo.Next()
-		if t.Now().Add(delay) > deadline {
-			return -1, err
-		}
-		t.Idle(delay)
-	}
-}
-
 // groupBarrier reports this rank's restart progress and joins a named
-// cluster-wide barrier through the coordinator, blocking until
-// released.  Both frames are journaled before any release goes out
-// (synchronous barrier commit), so a standby promoted mid-restart can
-// reconstruct the group's membership; if the leader dies mid-wait the
-// manager resyncs and the rank re-reports and rejoins — both events
-// are idempotent on the coordinator, and a group the old leader had
-// already released re-releases the rank immediately.  id is the
-// rank's image path, the same identity RestartAll journaled in the
-// restart-group event.
+// cluster-wide barrier, blocking until released.  Both frames are
+// journaled before any release goes out, so a standby promoted
+// mid-restart can reconstruct the group's membership; both are
+// idempotent, so the rank re-reports and rejoins after a takeover.
+// id is the rank's image path, the identity RestartAll journaled in
+// the restart-group event.
 func (s *System) groupBarrier(t *kernel.Task, mgr *Manager, name string, total int, gen, id, stage string) {
-	var re bin.Encoder
-	re.B = append(re.B, msgRestartRank)
-	re.Str(gen)
-	re.Str(id)
-	re.Str(stage)
 	var e bin.Encoder
 	e.B = append(e.B, msgGroup)
 	e.Str(name)
 	e.Int(total)
 	e.Str(id)
-	for {
-		if t.SendFrame(mgr.coordFD, re.B) != nil || t.SendFrame(mgr.coordFD, e.B) != nil {
-			if mgr.coordLost(t) != nil {
-				return
-			}
-			continue // re-report and rejoin on the new connection
-		}
-		for {
-			frame, err := t.RecvFrame(mgr.coordFD)
-			if err != nil {
-				if mgr.coordLost(t) != nil {
-					return
-				}
-				break // resynced: re-report and rejoin
-			}
-			if len(frame) > 0 && frame[0] == msgRelease {
-				d := &bin.Decoder{B: frame[1:]}
-				if d.Str() == name {
-					return
-				}
-			}
-		}
-	}
+	// A coordinator lost for good ends the session, not this process:
+	// the rank resumes unsynchronized, as without a coordinator.
+	_ = mgr.awaitRelease(t, name, rankFrame(gen, id, stage), e.B)
+}
+
+// rankFrame encodes a restart rank's progress report.
+func rankFrame(gen, id, stage string) []byte {
+	var e bin.Encoder
+	e.B = append(e.B, msgRestartRank)
+	e.Str(gen)
+	e.Str(id)
+	e.Str(stage)
+	return e.B
 }

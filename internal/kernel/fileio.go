@@ -111,17 +111,6 @@ func (t *Task) WriteFileAll(path string, data []byte, logical int64) {
 	t.P.Node.FS.WriteFile(path, data, logical)
 }
 
-// ReadFileAll reads a whole file charging disk time for its logical
-// size.
-func (t *Task) ReadFileAll(path string) ([]byte, error) {
-	ino, err := t.P.Node.FS.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	t.P.Node.ReadPipeFor(path).Read(t.T, ino.Size())
-	return append([]byte(nil), ino.Data...), nil
-}
-
 // --- Shared memory (mmap MAP_SHARED, §4.5) ---------------------------
 
 // NewShmSegment creates a shared segment (with its backing file) on a

@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/model"
 )
@@ -354,9 +353,6 @@ func (as *AddressSpace) Area(name string) *VMArea {
 // not be mutated.
 func (as *AddressSpace) Areas() []*VMArea { return as.areas }
 
-// NumAreas returns the number of mapped areas.
-func (as *AddressSpace) NumAreas() int { return len(as.areas) }
-
 // RSS returns the total resident size in bytes.
 func (as *AddressSpace) RSS() int64 {
 	var n int64
@@ -449,13 +445,3 @@ func (s *ShmSegment) Detach() {
 
 // Refs returns the current attachment count.
 func (s *ShmSegment) Refs() int { return s.refs }
-
-// sortedAreaNames is a test helper ordering for deterministic output.
-func sortedAreaNames(as *AddressSpace) []string {
-	names := make([]string, 0, len(as.areas))
-	for _, a := range as.areas {
-		names = append(names, a.Name)
-	}
-	sort.Strings(names)
-	return names
-}

@@ -3,6 +3,8 @@ package kernel
 import (
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/bin"
 )
 
 // Framed-message helpers shared by the simulated wire protocols (ssh,
@@ -40,36 +42,26 @@ func (t *Task) RecvFrame(fd int) ([]byte, error) {
 	return t.RecvN(fd, int(n))
 }
 
-// EncodeStrings flattens a string list into a frame payload.
+// EncodeStrings flattens a string list into a frame payload: a u32
+// count, then each string u32-length-prefixed.
 func EncodeStrings(ss []string) []byte {
-	var out []byte
-	out = binary.BigEndian.AppendUint32(out, uint32(len(ss)))
+	var e bin.Encoder
+	e.U32(uint32(len(ss)))
 	for _, s := range ss {
-		out = binary.BigEndian.AppendUint32(out, uint32(len(s)))
-		out = append(out, s...)
+		e.Str(s)
 	}
-	return out
+	return e.B
 }
 
 // DecodeStrings reverses EncodeStrings.
 func DecodeStrings(b []byte) ([]string, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("kernel: truncated string list")
+	d := &bin.Decoder{B: b}
+	var out []string
+	for i, n := uint32(0), d.U32(); i < n && d.Err == nil; i++ {
+		out = append(out, d.Str())
 	}
-	n := binary.BigEndian.Uint32(b)
-	b = b[4:]
-	out := make([]string, 0, n)
-	for i := uint32(0); i < n; i++ {
-		if len(b) < 4 {
-			return nil, fmt.Errorf("kernel: truncated string list")
-		}
-		l := binary.BigEndian.Uint32(b)
-		b = b[4:]
-		if uint32(len(b)) < l {
-			return nil, fmt.Errorf("kernel: truncated string entry")
-		}
-		out = append(out, string(b[:l]))
-		b = b[l:]
+	if d.Err != nil {
+		return nil, fmt.Errorf("kernel: string list: %w", d.Err)
 	}
 	return out, nil
 }

@@ -607,11 +607,6 @@ func (p *Process) startMain(fn func(*Task)) {
 	})
 }
 
-// StartMain launches fn as the process's main task; the process exits
-// when fn returns.  It is exported for the DMTCP restart program,
-// which rebuilds processes outside the normal spawn path.
-func (p *Process) StartMain(fn func(*Task)) { p.startMain(fn) }
-
 func copyEnv(env map[string]string) map[string]string {
 	out := make(map[string]string, len(env))
 	for k, v := range env {

@@ -1,8 +1,9 @@
 package kernel
 
 import (
-	"encoding/binary"
 	"fmt"
+
+	"repro/internal/bin"
 )
 
 // SSHPort is where every node's sshd listens.
@@ -60,13 +61,13 @@ func sshdSession(t *Task, fd int) {
 		return
 	}
 	p, err := t.P.Kern.Spawn(cmd[0], cmd[1:], env)
-	status := make([]byte, 8)
+	var status bin.Encoder
 	if err != nil {
-		binary.BigEndian.PutUint64(status, ^uint64(0))
+		status.U64(^uint64(0))
 	} else {
-		binary.BigEndian.PutUint64(status, uint64(p.Pid))
+		status.U64(uint64(p.Pid))
 	}
-	t.SendFrame(fd, status)
+	t.SendFrame(fd, status.B)
 }
 
 // sshMain is the ssh client: ssh <host> <prog> [args...].  It carries
@@ -94,7 +95,8 @@ func sshMain(t *Task, args []string) {
 	if err != nil || len(status) != 8 {
 		t.Exit(255)
 	}
-	if binary.BigEndian.Uint64(status) == ^uint64(0) {
+	d := bin.Decoder{B: status}
+	if d.U64() == ^uint64(0) {
 		t.Printf("ssh: remote spawn failed\n")
 		t.Exit(1)
 	}

@@ -393,6 +393,19 @@ func (t *Task) Connect(fd int, addr Addr) error {
 	return nil
 }
 
+// DialProtected connects a new Protected socket to addr — the dial of
+// all checkpoint infrastructure, which DMTCP's wrappers and images
+// skip.  A failed connect closes the socket.
+func (t *Task) DialProtected(addr Addr) (int, error) {
+	fd := t.Socket()
+	t.P.fds[fd].Protected = true
+	if err := t.Connect(fd, addr); err != nil {
+		t.Close(fd)
+		return -1, err
+	}
+	return fd, nil
+}
+
 // ConnectUnix establishes a UNIX-domain connection to path on the
 // local node.
 func (t *Task) ConnectUnix(fd int, path string) error {

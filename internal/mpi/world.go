@@ -516,18 +516,6 @@ func (w *World) pumpFor(ch *chanState) error {
 	return nil
 }
 
-// pump blocks for more bytes from the peer and appends them to the
-// reassembly log atomically (read → commit with no scheduling point
-// in between, so a checkpoint can never split them).
-func (w *World) pump(ch *chanState) error {
-	data, err := w.T.Recv(ch.fd, 1<<20)
-	if err != nil {
-		return err
-	}
-	w.commitRx(ch, data)
-	return nil
-}
-
 // Sendrecv performs the symmetric neighbor exchange common to the NAS
 // kernels.
 func (w *World) Sendrecv(peer, tag int, out []byte) ([]byte, error) {

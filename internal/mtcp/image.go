@@ -14,8 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 
+	"repro/internal/bin"
 	"repro/internal/kernel"
 	"repro/internal/model"
 )
@@ -157,107 +157,53 @@ func (img *Image) CompressedBytes(p *model.Params) int64 {
 	return n
 }
 
-// --- binary encoding -------------------------------------------------
-
-type encoder struct{ b []byte }
-
-func (e *encoder) u32(v uint32)  { e.b = binary.BigEndian.AppendUint32(e.b, v) }
-func (e *encoder) u64(v uint64)  { e.b = binary.BigEndian.AppendUint64(e.b, v) }
-func (e *encoder) i64(v int64)   { e.u64(uint64(v)) }
-func (e *encoder) f64(v float64) { e.u64(mathFloat64bits(v)) }
-func (e *encoder) bytes(v []byte) {
-	e.u32(uint32(len(v)))
-	e.b = append(e.b, v...)
-}
-func (e *encoder) str(v string) { e.bytes([]byte(v)) }
-
-type decoder struct {
-	b   []byte
-	err error
-}
-
-func (d *decoder) need(n int) []byte {
-	if d.err != nil || len(d.b) < n {
-		d.err = ErrBadImage
-		return nil
-	}
-	out := d.b[:n]
-	d.b = d.b[n:]
-	return out
-}
-func (d *decoder) u32() uint32 {
-	b := d.need(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-func (d *decoder) u64() uint64 {
-	b := d.need(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-func (d *decoder) i64() int64   { return int64(d.u64()) }
-func (d *decoder) f64() float64 { return mathFloat64frombits(d.u64()) }
-func (d *decoder) bytes() []byte {
-	n := d.u32()
-	if d.err != nil || uint32(len(d.b)) < n {
-		d.err = ErrBadImage
-		return nil
-	}
-	return append([]byte(nil), d.need(int(n))...)
-}
-func (d *decoder) str() string { return string(d.bytes()) }
-
 // Encode serializes the image with a CRC32 trailer.
 func (img *Image) Encode() []byte {
-	var e encoder
-	e.b = append(e.b, Magic...)
-	e.u32(Version)
-	e.str(img.Hostname)
-	e.str(img.ProgName)
-	e.u32(uint32(len(img.Args)))
+	var e bin.Encoder
+	e.B = append(e.B, Magic...)
+	e.U32(Version)
+	e.Str(img.Hostname)
+	e.Str(img.ProgName)
+	e.U32(uint32(len(img.Args)))
 	for _, a := range img.Args {
-		e.str(a)
+		e.Str(a)
 	}
-	e.u32(uint32(len(img.Env)))
+	e.U32(uint32(len(img.Env)))
 	for _, k := range sortedKeys(img.Env) {
-		e.str(k)
-		e.str(img.Env[k])
+		e.Str(k)
+		e.Str(img.Env[k])
 	}
-	e.i64(img.RealPid)
-	e.i64(img.VirtPid)
-	e.u32(uint32(len(img.Areas)))
+	e.I64(img.RealPid)
+	e.I64(img.VirtPid)
+	e.U32(uint32(len(img.Areas)))
 	for _, a := range img.Areas {
-		e.str(a.Name)
-		e.u32(uint32(a.Kind))
-		e.i64(a.Bytes)
-		e.f64(a.Entropy)
-		e.f64(a.ZeroFrac)
-		e.bytes(a.Payload)
-		e.str(a.ShmBacking)
-		e.i64(a.PayloadBytes)
-		e.u32(uint32(len(a.ChunkVers)))
+		e.Str(a.Name)
+		e.U32(uint32(a.Kind))
+		e.I64(a.Bytes)
+		e.F64(a.Entropy)
+		e.F64(a.ZeroFrac)
+		e.Bytes(a.Payload)
+		e.Str(a.ShmBacking)
+		e.I64(a.PayloadBytes)
+		e.U32(uint32(len(a.ChunkVers)))
 		for _, v := range a.ChunkVers {
-			e.u64(v)
+			e.U64(v)
 		}
 	}
-	e.u32(uint32(len(img.Threads)))
+	e.U32(uint32(len(img.Threads)))
 	for _, t := range img.Threads {
-		e.str(t.Role)
-		e.u32(uint32(t.ContFD))
-		e.bytes(t.ContData)
+		e.Str(t.Role)
+		e.U32(uint32(t.ContFD))
+		e.Bytes(t.ContData)
 	}
-	e.u32(uint32(len(img.Ext)))
+	e.U32(uint32(len(img.Ext)))
 	for _, k := range sortedKeys(img.Ext) {
-		e.str(k)
-		e.bytes(img.Ext[k])
+		e.Str(k)
+		e.Bytes(img.Ext[k])
 	}
-	sum := crc32.ChecksumIEEE(e.b)
-	e.u32(sum)
-	return e.b
+	sum := crc32.ChecksumIEEE(e.B)
+	e.U32(sum)
+	return e.B
 }
 
 // Decode parses an encoded image, verifying magic, version and CRC.
@@ -269,53 +215,53 @@ func Decode(b []byte) (*Image, error) {
 	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(trailer) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadImage)
 	}
-	d := &decoder{b: body}
-	if string(d.need(len(Magic))) != Magic {
+	if string(body[:len(Magic)]) != Magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadImage)
 	}
-	if v := d.u32(); v != Version {
+	d := &bin.Decoder{B: body[len(Magic):]}
+	if v := d.U32(); v != Version {
 		return nil, fmt.Errorf("%w: version %d", ErrBadImage, v)
 	}
 	img := &Image{Env: map[string]string{}, Ext: map[string][]byte{}}
-	img.Hostname = d.str()
-	img.ProgName = d.str()
-	for i, n := 0, int(d.u32()); i < n && d.err == nil; i++ {
-		img.Args = append(img.Args, d.str())
+	img.Hostname = d.Str()
+	img.ProgName = d.Str()
+	for i, n := 0, int(d.U32()); i < n && d.Err == nil; i++ {
+		img.Args = append(img.Args, d.Str())
 	}
-	for i, n := 0, int(d.u32()); i < n && d.err == nil; i++ {
-		k := d.str()
-		img.Env[k] = d.str()
+	for i, n := 0, int(d.U32()); i < n && d.Err == nil; i++ {
+		k := d.Str()
+		img.Env[k] = d.Str()
 	}
-	img.RealPid = d.i64()
-	img.VirtPid = d.i64()
-	for i, n := 0, int(d.u32()); i < n && d.err == nil; i++ {
+	img.RealPid = d.I64()
+	img.VirtPid = d.I64()
+	for i, n := 0, int(d.U32()); i < n && d.Err == nil; i++ {
 		var a AreaRecord
-		a.Name = d.str()
-		a.Kind = kernel.AreaKind(d.u32())
-		a.Bytes = d.i64()
-		a.Entropy = d.f64()
-		a.ZeroFrac = d.f64()
-		a.Payload = d.bytes()
-		a.ShmBacking = d.str()
-		a.PayloadBytes = d.i64()
-		for j, k := 0, int(d.u32()); j < k && d.err == nil; j++ {
-			a.ChunkVers = append(a.ChunkVers, d.u64())
+		a.Name = d.Str()
+		a.Kind = kernel.AreaKind(d.U32())
+		a.Bytes = d.I64()
+		a.Entropy = d.F64()
+		a.ZeroFrac = d.F64()
+		a.Payload = d.Bytes()
+		a.ShmBacking = d.Str()
+		a.PayloadBytes = d.I64()
+		for j, k := 0, int(d.U32()); j < k && d.Err == nil; j++ {
+			a.ChunkVers = append(a.ChunkVers, d.U64())
 		}
 		img.Areas = append(img.Areas, a)
 	}
-	for i, n := 0, int(d.u32()); i < n && d.err == nil; i++ {
+	for i, n := 0, int(d.U32()); i < n && d.Err == nil; i++ {
 		var t ThreadRecord
-		t.Role = d.str()
-		t.ContFD = int32(d.u32())
-		t.ContData = d.bytes()
+		t.Role = d.Str()
+		t.ContFD = int32(d.U32())
+		t.ContData = d.Bytes()
 		img.Threads = append(img.Threads, t)
 	}
-	for i, n := 0, int(d.u32()); i < n && d.err == nil; i++ {
-		k := d.str()
-		img.Ext[k] = d.bytes()
+	for i, n := 0, int(d.U32()); i < n && d.Err == nil; i++ {
+		k := d.Str()
+		img.Ext[k] = d.Bytes()
 	}
-	if d.err != nil {
-		return nil, d.err
+	if d.Err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadImage, d.Err)
 	}
 	return img, nil
 }
@@ -332,6 +278,3 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	return keys
 }
-
-func mathFloat64bits(f float64) uint64     { return math.Float64bits(f) }
-func mathFloat64frombits(u uint64) float64 { return math.Float64frombits(u) }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/kernel"
-	"repro/internal/model"
 	"repro/internal/store"
 )
 
@@ -236,17 +235,4 @@ func InstallMemory(p *kernel.Process, img *Image, t *kernel.Task, shm ShmResolve
 	}
 	p.ProgName = img.ProgName
 	p.Args = append([]string(nil), img.Args...)
-}
-
-// EstimateCheckpointCPU returns the modeled compression CPU time for
-// the image (useful to size forked-checkpoint background work).
-func EstimateCheckpointCPU(img *Image, p *model.Params, compress bool) time.Duration {
-	if !compress {
-		return 0
-	}
-	var d time.Duration
-	for _, a := range img.Areas {
-		d += p.CompressTime(a.Bytes, a.Class())
-	}
-	return d
 }

@@ -818,16 +818,7 @@ func indexReply(idx []uint32) []byte {
 	return e.B
 }
 
-// dial opens a connection to host's replica daemon.  The socket is
-// infrastructure, never part of a checkpoint.
+// dial opens a protected connection to host's replica daemon.
 func dial(t *kernel.Task, host string) (int, error) {
-	fd := t.Socket()
-	if of, err := t.P.FD(fd); err == nil {
-		of.Protected = true
-	}
-	if err := t.Connect(fd, kernel.Addr{Host: host, Port: Port}); err != nil {
-		t.Close(fd)
-		return -1, err
-	}
-	return fd, nil
+	return t.DialProtected(kernel.Addr{Host: host, Port: Port})
 }

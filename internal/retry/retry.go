@@ -1,7 +1,7 @@
 // Package retry is the unified failure policy for every reconnect and
 // re-send loop in the stack.  Before it existed each site hand-rolled
 // its own capped-exponential backoff (manager redial, restart
-// dialCoord, journal ship retry), all fully deterministic — so a
+// program dial, journal ship retry), all fully deterministic — so a
 // healed partition woke every stalled client on the same virtual
 // nanosecond and they stampeded the coordinator in lockstep.  A Policy
 // derives from model.Params, and every delay it deals is jittered by
